@@ -7,7 +7,8 @@
 // pre-compiled-plan code path preserved behind
 // SpaceOptions::use_compiled_plan — and both total synthesis wall times
 // land in BENCH_synthesis.json, together with odometer statistics
-// (combinations evaluated / pruned) and design-space sizes. On top of
+// (combinations evaluated / pruned / bound-skipped, and TimingPlan::delay
+// calls on real combinations vs on block bounds) and design-space sizes. On top of
 // that, every workload is re-run on the sharded parallel odometer at
 // threads ∈ {2, 4, 8}, recording one <workload>/t<N> entry each plus
 // suite-level sec6_runtime/suite_t<N> entries whose speedup_vs_1thread is
@@ -49,6 +50,8 @@ struct RunResult {
   double wall_ms = 0.0;
   long evaluated = 0;
   long pruned = 0;
+  long bound_skipped = 0;      // pruned without ever being timed
+  long bound_delay_calls = 0;  // delay() calls spent on block bounds
   long parallel_odometers = 0;
   long odometer_shards = 0;
   int spec_nodes = 0;
@@ -60,6 +63,9 @@ struct RunResult {
     const long total = evaluated + pruned;
     return total > 0 ? static_cast<double>(pruned) / total : 0.0;
   }
+  /// TimingPlan::delay calls on real combinations: every enumerated
+  /// combination not inside a skipped block was timed exactly.
+  long timed() const { return evaluated + pruned - bound_skipped; }
 };
 
 /// A 16-bit datapath of twelve distinct component specifications:
@@ -199,6 +205,8 @@ RunResult run(const dtas::SpaceOptions& opt, SynthFn&& synth_fn, int repeats) {
         r.alts = synth_fn(synth);
         r.evaluated = synth.space().stats().combinations_evaluated;
         r.pruned = synth.space().stats().combinations_pruned;
+        r.bound_skipped = synth.space().stats().combinations_bound_skipped;
+        r.bound_delay_calls = synth.space().stats().bound_delay_calls;
         r.parallel_odometers = synth.space().stats().parallel_odometers;
         r.odometer_shards = synth.space().stats().odometer_shards;
         r.spec_nodes = synth.space().stats().spec_nodes;
@@ -274,8 +282,9 @@ int main() {
   const int hw_threads =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 
-  std::printf("%-34s %12s %12s %8s %10s %9s %5s\n", "workload", "compiled(ms)",
-              "reference(ms)", "speedup", "evaluated", "pruned", "alts");
+  std::printf("%-34s %12s %12s %8s %10s %9s %5s %8s %8s\n", "workload",
+              "compiled(ms)", "reference(ms)", "speedup", "evaluated",
+              "pruned", "alts", "timed", "bound");
   std::vector<benchjson::Entry> entries;
   double total_compiled = 0.0, total_reference = 0.0;
   std::vector<double> total_threaded(kThreadCounts.size(), 0.0);
@@ -295,9 +304,10 @@ int main() {
     const double speedup = compiled.wall_ms > 0.0
                                ? reference.wall_ms / compiled.wall_ms
                                : 0.0;
-    std::printf("%-34s %12.2f %12.2f %7.2fx %10ld %9ld %5zu%s\n",
+    std::printf("%-34s %12.2f %12.2f %7.2fx %10ld %9ld %5zu %8ld %8ld%s\n",
                 w.name.c_str(), compiled.wall_ms, reference.wall_ms, speedup,
                 compiled.evaluated, compiled.pruned, compiled.alts.size(),
+                compiled.timed(), compiled.bound_delay_calls,
                 same ? "" : "  FRONT MISMATCH");
     benchjson::Entry e;
     e.name = w.name;
@@ -306,6 +316,13 @@ int main() {
         .num("speedup", speedup)
         .num("combinations_evaluated", static_cast<double>(compiled.evaluated))
         .num("combinations_pruned", static_cast<double>(compiled.pruned))
+        .num("combinations_bound_skipped",
+             static_cast<double>(compiled.bound_skipped))
+        // delay() calls: on real combinations (the reference times every
+        // one), and on block bounds — the price of skipping.
+        .num("delay_calls_timed", static_cast<double>(compiled.timed()))
+        .num("delay_calls_bound",
+             static_cast<double>(compiled.bound_delay_calls))
         .num("combinations_reference",
              static_cast<double>(reference.evaluated))
         .num("spec_nodes", compiled.spec_nodes)
@@ -336,10 +353,11 @@ int main() {
       const double tspeedup = threaded.wall_ms > 0.0
                                   ? compiled.wall_ms / threaded.wall_ms
                                   : 0.0;
-      std::printf("%-34s %12.2f %12s %7.2fx %10ld %9ld %5zu%s\n",
+      std::printf("%-34s %12.2f %12s %7.2fx %10ld %9ld %5zu %8ld %8ld%s\n",
                   (w.name + "/t" + std::to_string(threads)).c_str(),
                   threaded.wall_ms, "", tspeedup, threaded.evaluated,
-                  threaded.pruned, threaded.alts.size(),
+                  threaded.pruned, threaded.alts.size(), threaded.timed(),
+                  threaded.bound_delay_calls,
                   tsame ? "" : "  FRONT MISMATCH vs 1 thread");
       benchjson::Entry te;
       te.name = w.name + "/t" + std::to_string(threads);
@@ -353,6 +371,11 @@ int main() {
           .num("combinations_evaluated",
                static_cast<double>(threaded.evaluated))
           .num("combinations_pruned", static_cast<double>(threaded.pruned))
+          .num("combinations_bound_skipped",
+               static_cast<double>(threaded.bound_skipped))
+          .num("delay_calls_timed", static_cast<double>(threaded.timed()))
+          .num("delay_calls_bound",
+               static_cast<double>(threaded.bound_delay_calls))
           .str("fronts_identical", tsame ? "yes" : "NO");
       entries.push_back(std::move(te));
     }

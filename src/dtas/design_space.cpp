@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "base/diag.h"
@@ -814,8 +815,8 @@ namespace {
 /// when neither side has learned anything new since its last visit.
 /// Sharing is a pure pruning accelerator — correctness and determinism
 /// never depend on which points a shard happens to have seen, because a
-/// candidate strictly dominated with margin by *any* evaluated candidate
-/// of the node can survive no dominance-respecting filter.
+/// candidate strictly dominated with margin by *any* timed combination of
+/// the node can survive no dominance-respecting filter.
 class BoundExchange {
  public:
   explicit BoundExchange(const ParetoFront& seed) : front_(seed) {}
@@ -841,21 +842,26 @@ class BoundExchange {
   std::atomic<std::uint64_t> stamp_{0};
 };
 
-/// Combinations between bound exchanges of a parallel shard.
-constexpr long kBoundExchangePeriod = 1024;
+/// Odometer loop steps between checkpoints: deadline poll, fault probe,
+/// and (in a parallel shard) bound exchange. A step times one combination
+/// or skips one block, so the cadence holds however far a skip jumps.
+constexpr long kCheckpointPeriod = 1024;
 
 struct OdometerCounters {
   long evaluated = 0;
-  long pruned = 0;
+  long pruned = 0;         // bound-skipped plus timed and discarded
+  long bound_skipped = 0;  // inside skipped blocks, never timed
+  long bound_delay_calls = 0;
+
+  OdometerCounters& operator+=(const OdometerCounters& o) {
+    evaluated += o.evaluated;
+    pruned += o.pruned;
+    bound_skipped += o.bound_skipped;
+    bound_delay_calls += o.bound_delay_calls;
+    return *this;
+  }
 };
 
-/// Evaluate the contiguous combination index range [begin, end) of the
-/// odometer — the body of both the serial path (one range covering
-/// everything, shared == nullptr) and each parallel shard. Index i
-/// decodes little-endian into child choices: digit c is
-/// (i / prod(limit[0..c))) % limit[c], matching the serial odometer's
-/// increment-with-carry order, so concatenating shard outputs in shard
-/// order reproduces the serial candidate sequence exactly.
 /// What a shard does when the armed deadline expires mid-range: nothing
 /// (no deadline), stop and keep the candidates gathered so far
 /// (best-effort — the flag records that the enumeration is partial), or
@@ -867,6 +873,125 @@ struct DeadlineHooks {
   std::atomic<bool>* hit = nullptr;  // set by best-effort expiry
 };
 
+/// Size `scratch` for an odometer over `children` bounded by `limit`:
+/// strides, and — when pruning — each child's minimum area and minimum
+/// delay over its alternatives [0, limit). The minima are computed, not
+/// read off the sort order, so the bound holds under every filter kind.
+void prepare_odometer(const std::vector<SpecNode*>& children,
+                      const std::vector<int>& limit, bool prune,
+                      EvalScratch& scratch) {
+  const std::size_t n = children.size();
+  scratch.child_area.resize(n);
+  scratch.child_delay.resize(n);
+  scratch.choice.resize(n);
+  scratch.stride.resize(n + 1);
+  scratch.stride[0] = 1;
+  for (std::size_t c = 0; c < n; ++c) {
+    scratch.stride[c + 1] = scratch.stride[c] * limit[c];
+  }
+  if (!prune) return;
+  scratch.min_area.resize(n);
+  scratch.min_delay.resize(n);
+  scratch.bound_area.resize(n);
+  scratch.bound_delay.resize(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const std::vector<Alternative>& alts = children[c]->alts;
+    double area = alts[0].metric.area;
+    double delay = alts[0].metric.delay;
+    for (int a = 1; a < limit[c]; ++a) {
+      area = std::min(area, alts[a].metric.area);
+      delay = std::min(delay, alts[a].metric.delay);
+    }
+    scratch.min_area[c] = area;
+    scratch.min_delay[c] = delay;
+  }
+}
+
+/// Set scratch.choice to the digits of combination `idx`: digit c is
+/// (idx / stride[c]) % limit[c], digit 0 changing fastest.
+void decode_index(long idx, const std::vector<int>& limit,
+                  EvalScratch& scratch) {
+  for (std::size_t c = 0; c < limit.size(); ++c) {
+    scratch.choice[c] = static_cast<int>(idx % limit[c]);
+    idx /= limit[c];
+  }
+}
+
+/// Exact metrics of the combination in scratch.choice.
+Metric time_combination(const TimingPlan& plan,
+                        const std::vector<SpecNode*>& children,
+                        EvalScratch& scratch) {
+  for (std::size_t c = 0; c < children.size(); ++c) {
+    const Metric& m = children[c]->alts[scratch.choice[c]].metric;
+    scratch.child_area[c] = m.area;
+    scratch.child_delay[c] = m.delay;
+  }
+  const double area = plan.area(scratch.child_area.data());
+  return Metric{area, plan.delay(scratch.child_delay.data(), scratch)};
+}
+
+/// The largest block starting at the current combination (index `idx`,
+/// digits in scratch.choice) that fits before `end` and whose bound
+/// `front` dominates with margin. A level-j block is the stride[j]
+/// combinations sharing digits [j, n) with the current one; it starts here
+/// when digits [0, j) are all zero. Its bound holds digits [j, n) at their
+/// chosen alternatives and each free child at its minimum area and its
+/// minimum delay: plan area is an in-order sum and plan delay a max/add
+/// chain, both monotone under IEEE rounding, so the bound is <= every
+/// combination of the block on both axes, and a front that dominates it
+/// would discard each of them on its exact metrics. Returns the level, or
+/// 0 when no block is dominated.
+int dominated_block(const TimingPlan& plan,
+                    const std::vector<SpecNode*>& children,
+                    const std::vector<int>& limit, long idx, long end,
+                    const ParetoFront& front, EvalScratch& scratch,
+                    OdometerCounters& counters) {
+  const int n = static_cast<int>(children.size());
+  int k = 0;
+  while (k < n && scratch.choice[k] == 0) ++k;
+  // A level whose lowest free digit has one alternative holds the same
+  // combinations as the level below it.
+  while (k > 0 && (limit[k - 1] == 1 || scratch.stride[k] > end - idx)) --k;
+  if (k == 0) return 0;
+  for (int c = 0; c < n; ++c) {
+    const Metric& m = children[c]->alts[scratch.choice[c]].metric;
+    scratch.bound_area[c] = c < k ? scratch.min_area[c] : m.area;
+    scratch.bound_delay[c] = c < k ? scratch.min_delay[c] : m.delay;
+  }
+  constexpr double kAnyDelay = std::numeric_limits<double>::infinity();
+  for (int j = k; j >= 1; --j) {
+    if (limit[j - 1] > 1) {
+      const double area = plan.area(scratch.bound_area.data());
+      // Time the bound only when some recorded point is smaller by the
+      // margin; otherwise no delay can make it dominated.
+      if (front.dominates_bound(area, kAnyDelay)) {
+        ++counters.bound_delay_calls;
+        if (front.dominates_bound(
+                area, plan.delay(scratch.bound_delay.data(), scratch))) {
+          return j;
+        }
+      }
+    }
+    // Fix digit j - 1 at its value here (0: the block is aligned).
+    const Metric& m = children[j - 1]->alts[0].metric;
+    scratch.bound_area[j - 1] = m.area;
+    scratch.bound_delay[j - 1] = m.delay;
+  }
+  return 0;
+}
+
+/// Evaluate the contiguous combination index range [begin, end) of the
+/// odometer — the body of both the serial path (one range covering
+/// everything, shared == nullptr) and each parallel shard. Index i
+/// decodes little-endian into child choices (see decode_index), matching
+/// the serial odometer's increment-with-carry order, so concatenating
+/// shard outputs in shard order reproduces the serial candidate sequence
+/// exactly. With `prune`, each step first tries to skip the largest
+/// dominated block starting at the current combination (dominated_block)
+/// and times the combination only when none is. A skipped block holds
+/// only combinations the exact check would discard against a front that
+/// only gets stronger, so the stored sequence is the one a per-combination
+/// loop stores.
 void run_odometer_range(const TimingPlan& plan,
                         const std::vector<SpecNode*>& children,
                         const std::vector<int>& limit, int impl_index,
@@ -874,69 +999,66 @@ void run_odometer_range(const TimingPlan& plan,
                         BoundExchange* shared, std::uint64_t shared_stamp,
                         const DeadlineHooks& hooks, EvalScratch& scratch,
                         std::vector<Alternative>& candidates,
-                        OdometerCounters& counters) {
+                        OdometerCounters& out) {
   const int n = static_cast<int>(children.size());
-  scratch.child_area.resize(n);
-  scratch.child_delay.resize(n);
-  std::vector<int> choice(n, 0);
-  long rest = begin;
-  for (int c = 0; c < n; ++c) {
-    choice[c] = static_cast<int>(rest % limit[c]);
-    rest /= limit[c];
-  }
+  prepare_odometer(children, limit, prune, scratch);
+  decode_index(begin, limit, scratch);
+  // Counted in locals and published once: shard slots sit side by side.
+  OdometerCounters counters;
   bool local_news = false;  // front points other shards haven't seen
-  for (long idx = begin; idx < end; ++idx) {
-    if ((idx - begin) % kBoundExchangePeriod == 0) {
+  long step = 0;
+  for (long idx = begin; idx < end; ++step) {
+    if (step % kCheckpointPeriod == 0) {
       // Per-chunk checkpoint (never per combination): deadline poll and
       // fault probe share the bound-exchange cadence, so the inner loop
-      // stays one clock read per 1024 combinations at worst.
+      // stays one clock read per 1024 steps at worst.
       base::FaultInjector::global().probe("dtas.evaluate.plan");
       if (hooks.deadline != nullptr && hooks.deadline->expired()) {
         if (!hooks.best_effort) {
           throw Cancelled("synthesis deadline exceeded in odometer");
         }
         hooks.hit->store(true, std::memory_order_relaxed);
-        return;  // keep the candidates evaluated so far
+        break;  // keep the candidates evaluated so far
+      }
+      if (shared != nullptr && step != 0 &&
+          (local_news || shared->stamp() != shared_stamp)) {
+        shared_stamp = shared->exchange(front);
+        local_news = false;
       }
     }
-    if (shared != nullptr && idx != begin &&
-        (idx - begin) % kBoundExchangePeriod == 0 &&
-        (local_news || shared->stamp() != shared_stamp)) {
-      shared_stamp = shared->exchange(front);
-      local_news = false;
-    }
-    for (int c = 0; c < n; ++c) {
-      const Metric& m = children[c]->alts[choice[c]].metric;
-      scratch.child_area[c] = m.area;
-      scratch.child_delay[c] = m.delay;
-    }
-    const double area = plan.area(scratch.child_area.data());
-    if (prune &&
-        front.dominates_bound(
-            area, plan.delay_lower_bound(scratch.child_delay.data()))) {
-      ++counters.pruned;
+    const int level =
+        prune ? dominated_block(plan, children, limit, idx, end, front,
+                                scratch, counters)
+              : 0;
+    if (level > 0) {
+      counters.pruned += scratch.stride[level];
+      counters.bound_skipped += scratch.stride[level];
+      idx += scratch.stride[level];
     } else {
-      const double delay = plan.delay(scratch.child_delay.data(), scratch);
-      if (prune && front.dominates_bound(area, delay)) {
+      const Metric m = time_combination(plan, children, scratch);
+      if (prune && front.dominates_bound(m.area, m.delay)) {
         // Exact metrics dominated with margin: the candidate can never be
         // kept, so don't store it.
         ++counters.pruned;
       } else {
         Alternative alt;
         alt.impl_index = impl_index;
-        alt.child_alt = choice;
-        alt.metric = Metric{area, delay};
+        alt.child_alt.assign(scratch.choice.begin(), scratch.choice.end());
+        alt.metric = m;
         ++counters.evaluated;
-        local_news = front.add(area, delay) || local_news;
+        local_news = front.add(m.area, m.delay) || local_news;
         candidates.push_back(std::move(alt));
       }
+      ++idx;
     }
-    int c = 0;
-    while (c < n && ++choice[c] >= limit[c]) {
-      choice[c] = 0;
+    // Advance past the block (digits below `level` are already zero).
+    int c = level;
+    while (c < n && ++scratch.choice[c] >= limit[c]) {
+      scratch.choice[c] = 0;
       ++c;
     }
   }
+  out = counters;
 }
 
 }  // namespace
@@ -957,9 +1079,9 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
                                     std::vector<Alternative>& candidates,
                                     EvalScratch& scratch, SpaceStats& stats) {
   // Compiled path: per-child metric arrays feed the timing plan; each
-  // combination is pure array arithmetic, and bound-and-prune skips delay
-  // propagation — or discards the combination unstored — when an
-  // evaluated candidate already dominates it.
+  // combination is pure array arithmetic, and bound-and-prune skips whole
+  // blocks whose bound an evaluated candidate already dominates, and
+  // discards — unstored — timed combinations it dominates.
   //
   // Registry mirrors are added once per odometer run (bulk deltas), never
   // per combination — the inner loop stays registry-free.
@@ -967,6 +1089,10 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
       obs::Registry::global().counter("dtas.evaluate.combinations.evaluated");
   static obs::Counter& pruned_counter =
       obs::Registry::global().counter("dtas.evaluate.combinations.pruned");
+  static obs::Counter& skipped_counter = obs::Registry::global().counter(
+      "dtas.evaluate.combinations.bound_skipped");
+  static obs::Counter& bound_calls_counter =
+      obs::Registry::global().counter("dtas.evaluate.bound_delay_calls");
   static obs::Counter& parallel_runs_counter =
       obs::Registry::global().counter("dtas.evaluate.odometer.parallel_runs");
   static obs::Counter& shards_counter =
@@ -993,74 +1119,92 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
     hooks.hit = &deadline_hit;
   }
 
+  OdometerCounters counters;
   if (num_shards <= 1) {
-    OdometerCounters counters;
     run_odometer_range(plan, children, limit, impl_index, 0, total, prune,
                        front, nullptr, 0, hooks, scratch, candidates,
                        counters);
-    stats.combinations_evaluated += counters.evaluated;
-    stats.combinations_pruned += counters.pruned;
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      stats.deadline_hit = true;
+  } else {
+    // Sharded run: contiguous index ranges in enumeration order. Every
+    // shard evaluates against its executing thread's EvalScratch and a
+    // private ParetoFront (refreshed through the shared bound), and stores
+    // into its own slot; no odometer state is ever written concurrently.
+    // Merging slot-by-slot in shard order makes the surviving candidate
+    // sequence exactly the serial one, so the filtered front — stable
+    // sort, tie rules and all — is bit-identical at every thread count.
+    //
+    // The shared bound starts from the candidates evaluated so far plus
+    // the first and last combination of every shard, timed exactly here,
+    // so a shard that starts mid-range skips blocks from its first step
+    // instead of running on an empty front. Seeding is sound for the same
+    // reason the exchange is: any real combination of this odometer that
+    // dominates a candidate with margin rules it out of every filter.
+    const long chunk = (total + num_shards - 1) / num_shards;
+    ParetoFront seeded = front;
+    if (prune) {
+      prepare_odometer(children, limit, /*prune=*/false, scratch);
+      for (long s = 0; s < num_shards; ++s) {
+        const long begin = s * chunk;
+        const long end = std::min(total, begin + chunk);
+        if (begin >= end) continue;
+        for (long idx : {begin, end - 1}) {
+          decode_index(idx, limit, scratch);
+          const Metric m = time_combination(plan, children, scratch);
+          seeded.add(m.area, m.delay);
+          ++counters.bound_delay_calls;
+        }
+      }
     }
-    evaluated_counter.add(counters.evaluated);
-    pruned_counter.add(counters.pruned);
-    return;
+    BoundExchange shared(seeded);
+    struct Shard {
+      std::vector<Alternative> candidates;
+      OdometerCounters counters;
+    };
+    std::vector<Shard> shards(static_cast<size_t>(num_shards));
+    // One scratch per pool thread slot (caller + workers), reused across
+    // the shards that thread happens to claim.
+    std::vector<EvalScratch> scratches(static_cast<size_t>(threads_));
+    pool()->run(static_cast<int>(num_shards), [&](int s, int slot) {
+      const long begin = s * chunk;
+      const long end = std::min(total, begin + chunk);
+      if (begin >= end) return;
+      ParetoFront local;
+      const std::uint64_t stamp = shared.exchange(local);
+      run_odometer_range(plan, children, limit, impl_index, begin, end,
+                         prune, local, prune ? &shared : nullptr, stamp,
+                         hooks, scratches[slot], shards[s].candidates,
+                         shards[s].counters);
+      // Publish what this shard learned for the shards still to start.
+      if (prune) shared.exchange(local);
+    });
+    for (Shard& s : shards) {
+      for (Alternative& alt : s.candidates) {
+        front.add(alt.metric.area, alt.metric.delay);
+        candidates.push_back(std::move(alt));
+      }
+      counters += s.counters;
+    }
+    parallel_runs_counter.add(1);
+    shards_counter.add(num_shards);
+    ++stats.parallel_odometers;
+    stats.odometer_shards += num_shards;
   }
-
-  // Sharded run: contiguous index ranges in enumeration order. Every shard
-  // evaluates against its executing thread's EvalScratch and a private
-  // ParetoFront (seeded from the candidates evaluated so far and
-  // refreshed through the shared bound), and stores into its own slot; no
-  // odometer state is ever written concurrently. Merging slot-by-slot in
-  // shard order makes the surviving candidate sequence exactly the serial
-  // one, so the filtered front — stable sort, tie rules and all — is
-  // bit-identical at every thread count.
-  BoundExchange shared(front);
-  struct Shard {
-    std::vector<Alternative> candidates;
-    OdometerCounters counters;
-  };
-  std::vector<Shard> shards(static_cast<size_t>(num_shards));
-  // One scratch per pool thread slot (caller + workers), reused across
-  // the shards that thread happens to claim.
-  std::vector<EvalScratch> scratches(static_cast<size_t>(threads_));
-  const long chunk = (total + num_shards - 1) / num_shards;
-  pool()->run(static_cast<int>(num_shards), [&](int s, int slot) {
-    const long begin = s * chunk;
-    const long end = std::min(total, begin + chunk);
-    if (begin >= end) return;
-    ParetoFront local;
-    const std::uint64_t stamp = shared.exchange(local);
-    run_odometer_range(plan, children, limit, impl_index, begin, end, prune,
-                       local, prune ? &shared : nullptr, stamp, hooks,
-                       scratches[slot], shards[s].candidates,
-                       shards[s].counters);
-  });
   if (deadline_hit.load(std::memory_order_relaxed)) {
-    // Best-effort expiry inside one or more shards: the merged candidate
-    // list is a prefix-of-each-shard, still deterministic to merge, but
-    // the enumeration is partial — record it.
+    // Best-effort expiry: the candidate list is a prefix of each range,
+    // still deterministic to merge, but the enumeration is partial —
+    // record it.
     stats.deadline_hit = true;
   }
-  long evaluated = 0;
-  long pruned = 0;
-  for (Shard& s : shards) {
-    for (Alternative& alt : s.candidates) {
-      front.add(alt.metric.area, alt.metric.delay);
-      candidates.push_back(std::move(alt));
-    }
-    evaluated += s.counters.evaluated;
-    pruned += s.counters.pruned;
+  stats.combinations_evaluated += counters.evaluated;
+  stats.combinations_pruned += counters.pruned;
+  stats.combinations_bound_skipped += counters.bound_skipped;
+  stats.bound_delay_calls += counters.bound_delay_calls;
+  evaluated_counter.add(counters.evaluated);
+  pruned_counter.add(counters.pruned);
+  if (counters.bound_delay_calls != 0) {  // small odometers rarely bound
+    skipped_counter.add(counters.bound_skipped);
+    bound_calls_counter.add(counters.bound_delay_calls);
   }
-  stats.combinations_evaluated += evaluated;
-  stats.combinations_pruned += pruned;
-  evaluated_counter.add(evaluated);
-  pruned_counter.add(pruned);
-  parallel_runs_counter.add(1);
-  shards_counter.add(num_shards);
-  ++stats.parallel_odometers;
-  stats.odometer_shards += num_shards;
 }
 
 void DesignSpace::run_reference_odometer(const Module& tmpl,
@@ -1090,7 +1234,7 @@ void DesignSpace::run_reference_odometer(const Module& tmpl,
   const int n = static_cast<int>(children.size());
   std::vector<int> choice(n, 0);
   for (;;) {
-    if (seen++ % kBoundExchangePeriod == 0) {
+    if (seen++ % kCheckpointPeriod == 0) {
       // Same per-chunk checkpoint cadence as the compiled path (the
       // reference odometer is always serial per node, so the deadline
       // helper — which throws or records a best-effort hit in `stats` —
@@ -1224,6 +1368,8 @@ void DesignSpace::evaluate_parallel(SpecNode* root) {
     for (const SpaceStats& s : local) {
       stats_.combinations_evaluated += s.combinations_evaluated;
       stats_.combinations_pruned += s.combinations_pruned;
+      stats_.combinations_bound_skipped += s.combinations_bound_skipped;
+      stats_.bound_delay_calls += s.bound_delay_calls;
       stats_.parallel_odometers += s.parallel_odometers;
       stats_.odometer_shards += s.odometer_shards;
       stats_.deadline_hit = stats_.deadline_hit || s.deadline_hit;

@@ -274,12 +274,13 @@ struct SpaceOptions {
   /// path exists for equivalence testing and as the bench baseline; both
   /// produce bit-identical metrics.
   bool use_compiled_plan = true;
-  /// Bound-and-prune the odometer: skip a combination when its exact area
-  /// plus its delay lower bound is already dominated (with margin) by an
-  /// evaluated candidate, and discard it without storing when its exact
-  /// metrics are. Never changes the filtered front; automatically off
-  /// under FilterKind::kNone (which keeps dominated candidates) and on the
-  /// reference path.
+  /// Bound-and-prune the odometer: skip a whole block of combinations
+  /// when a bound on all of them (each free child at its minimum area and
+  /// its minimum delay) is already dominated (with margin) by an evaluated
+  /// candidate, and discard a combination without storing it when its
+  /// exact metrics are. Never changes the filtered front; automatically
+  /// off under FilterKind::kNone (which keeps dominated candidates) and on
+  /// the reference path.
   bool bound_prune = true;
   /// Threads applied to the sharded plan odometer. 0 means
   /// hardware_concurrency; 1 preserves the fully serial pre-shard code
@@ -344,11 +345,11 @@ struct SpaceOptions {
   std::string trace_path;
   /// Wall-clock budget per synthesize call, in milliseconds; 0 means
   /// unbounded. The deadline is polled cooperatively at coarse
-  /// checkpoints (per rule application, per odometer chunk of 1024
-  /// combinations, per extracted alternative — never per combination), so
-  /// overrun past the deadline is bounded by one checkpoint interval. A
-  /// run whose deadline never fires is bit-identical to an unbounded run:
-  /// the checks only read a clock.
+  /// checkpoints (per rule application, per 1024 odometer loop steps —
+  /// a step times one combination or skips one block — and per extracted
+  /// alternative, never per combination), so overrun past the deadline is
+  /// bounded by one checkpoint interval. A run whose deadline never fires
+  /// is bit-identical to an unbounded run: the checks only read a clock.
   long deadline_ms = 0;
   /// What expiry does: false (default) — synthesize throws
   /// bridge::Cancelled and unwinds with strong exception safety (the
@@ -392,6 +393,14 @@ struct SpaceStats {
   int rejected_templates = 0;  // cyclic or malformed rule output
   long combinations_evaluated = 0;  // odometer combinations kept as candidates
   long combinations_pruned = 0;     // skipped or discarded by bound-and-prune
+  // The skipped part of combinations_pruned: combinations inside blocks
+  // whose bound was dominated, never timed. The rest of pruned was timed
+  // exactly and then discarded.
+  long combinations_bound_skipped = 0;
+  // TimingPlan::delay calls made only to prune: one per block bound
+  // tested, plus the corner seeds of sharded runs. Calls on real
+  // candidates number evaluated + pruned - bound_skipped.
+  long bound_delay_calls = 0;
   long parallel_odometers = 0;      // odometer runs that went multi-threaded
   long odometer_shards = 0;         // shards executed across those runs
   long node_parallel_levels = 0;    // DAG antichains evaluated as pool batches
@@ -411,8 +420,8 @@ struct SpaceStats {
 
 /// Incremental (area, delay) Pareto staircase over evaluated candidates,
 /// used by bound-and-prune. A combination dominated with margin by an
-/// evaluated point — on its delay lower bound before propagation, or on
-/// its exact metrics before storage — can never survive any of the
+/// evaluated point — through the bound of a block containing it, or on its
+/// exact metrics before storage — can never survive any of the
 /// dominance-respecting filters, so it is skipped or discarded. The margin
 /// (2 × the filter epsilon) keeps the claim true under the filters'
 /// epsilon-tolerant comparisons.
@@ -422,8 +431,9 @@ class ParetoFront {
   /// (the point was non-dominated and actually inserted).
   bool add(double area, double delay);
   /// True when some recorded point has area + margin <= `area` and
-  /// delay + margin <= `delay_lower_bound`.
-  bool dominates_bound(double area, double delay_lower_bound) const;
+  /// delay + margin <= `delay`. Monotone: it stays true for any larger
+  /// `area` or `delay`, and after any add() or merge().
+  bool dominates_bound(double area, double delay) const;
   /// Fold every point of `other` into this front; true when it changed.
   bool merge(const ParetoFront& other);
 
@@ -503,9 +513,14 @@ class DesignSpace {
   /// already have capped via trim_limits), bound-and-pruning against
   /// `front`, and append the surviving candidates with the given impl
   /// index. Shared by per-implementation evaluation and whole-netlist
-  /// synthesis — the same hot loop, one level apart. Large odometers are
-  /// sharded across SpaceOptions::threads worker threads; the result is
-  /// bit-identical to the serial run (see SpaceOptions::threads).
+  /// synthesis — the same hot loop, one level apart. Digit c of the
+  /// odometer is child c's alternative index (digit 0 changes fastest);
+  /// with pruning on, each aligned block of combinations sharing their
+  /// high digits is first timed once on a bound vector and skipped whole
+  /// when `front` dominates the bound, so only the survivors of that test
+  /// are timed one by one. Large odometers are sharded across
+  /// SpaceOptions::threads worker threads; the result is bit-identical to
+  /// the serial run (see SpaceOptions::threads).
   void run_plan_odometer(const TimingPlan& plan,
                          const std::vector<SpecNode*>& children,
                          const std::vector<int>& limit, int impl_index,

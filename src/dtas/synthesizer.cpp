@@ -63,6 +63,11 @@ class ProfileScope {
                      s.combinations_evaluated - b.combinations_evaluated);
     out_.add_counter("evaluate.combinations.pruned",
                      s.combinations_pruned - b.combinations_pruned);
+    out_.add_counter(
+        "evaluate.combinations.bound_skipped",
+        s.combinations_bound_skipped - b.combinations_bound_skipped);
+    out_.add_counter("evaluate.bound_delay_calls",
+                     s.bound_delay_calls - b.bound_delay_calls);
     out_.add_counter("evaluate.odometer.parallel_runs",
                      s.parallel_odometers - b.parallel_odometers);
     out_.add_counter("evaluate.odometer.shards",

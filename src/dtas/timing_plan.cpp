@@ -28,7 +28,6 @@ TimingPlan TimingPlan::compile(
     const std::vector<const ComponentSpec*>& child_specs) {
   TimingPlan plan;
   plan.compiled_ = true;
-  plan.child_on_path_.assign(child_specs.size(), 0);
 
   // Global bit index per (net, bit): net_base[net] + bit.
   std::vector<int> net_base(tmpl.nets().size(), 0);
@@ -142,7 +141,6 @@ TimingPlan TimingPlan::compile(
     const Instance& inst = insts[step.instance];
     Step s;
     s.child = plan.inst_child_[step.instance];
-    plan.child_on_path_[s.child] = 1;
     selected.clear();
     for (const Conn& c : ins[step.instance]) {
       if (c.conn.kind != PortConn::Kind::kNet) continue;
@@ -159,7 +157,6 @@ TimingPlan TimingPlan::compile(
     const int i = seq_insts[si];
     SeqStep s;
     s.child = plan.inst_child_[i];
-    plan.child_on_path_[s.child] = 1;
     selected.clear();
     for (const Conn& c : ins[i]) {
       if (c.conn.kind == PortConn::Kind::kNet) selected.push_back(&c);

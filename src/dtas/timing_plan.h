@@ -46,16 +46,27 @@ struct EvalStep {
 };
 using EvalSchedule = std::vector<EvalStep>;
 
-/// Reusable mutable state of one plan evaluation. A TimingPlan is
-/// immutable after compile() and freely shared across threads; everything
-/// a combination evaluation writes lives here instead. The sharded
-/// odometer owns one EvalScratch per worker thread (never per plan and
-/// never shared), which is what makes concurrent shard evaluation
-/// race-free by construction.
+/// Reusable mutable state of one plan evaluation and of the odometer
+/// driving it. A TimingPlan is immutable after compile() and freely shared
+/// across threads; everything a combination evaluation writes lives here
+/// instead. The sharded odometer owns one EvalScratch per worker thread
+/// (never per plan and never shared), which is what makes concurrent shard
+/// evaluation race-free by construction. Every array is resized, never
+/// shrunk, so an odometer run allocates nothing once its scratch has grown.
 struct EvalScratch {
   std::vector<double> times;        // per-plan-node completion times
   std::vector<double> child_area;   // per-distinct-child metrics of the
   std::vector<double> child_delay;  //   combination being evaluated
+  // Odometer state: the current digit (alternative index) per child,
+  // stride[c] = prod(limit[0..c)) (n + 1 entries), each child's minimum
+  // area and minimum delay over its alternatives [0, limit), and the bound
+  // vectors of the block being tested (see run_plan_odometer).
+  std::vector<int> choice;
+  std::vector<long> stride;
+  std::vector<double> min_area;
+  std::vector<double> min_delay;
+  std::vector<double> bound_area;
+  std::vector<double> bound_delay;
 };
 
 class TimingPlan {
@@ -71,7 +82,6 @@ class TimingPlan {
       const std::vector<const genus::ComponentSpec*>& child_specs);
 
   bool compiled() const { return compiled_; }
-  int num_children() const { return static_cast<int>(child_on_path_.size()); }
   int num_instances() const { return static_cast<int>(inst_child_.size()); }
 
   /// Distinct-child index of each template instance, in instance order.
@@ -90,27 +100,18 @@ class TimingPlan {
   /// Longest structural path for one combination. `child_delay` holds one
   /// delay per distinct child; `scratch` is the calling thread's scratch
   /// state, whose `times` buffer is resized here so repeated calls never
-  /// allocate once it has grown to the plan's node count.
+  /// allocate once it has grown to the plan's node count. Monotone in
+  /// every child delay (each step is a max and an add), which is what lets
+  /// the odometer bound a whole block of combinations with one call on
+  /// per-child minima.
   double delay(const double* child_delay, EvalScratch& scratch) const;
 
   /// Rough resident size in bytes (vector capacities). Feeds the template
   /// cache's byte accounting; proportionality matters, exactness doesn't.
   std::size_t approx_footprint_bytes() const {
     return sizeof(TimingPlan) + inst_child_.capacity() * sizeof(int) +
-           child_on_path_.capacity() + seq_.capacity() * sizeof(SeqStep) +
+           seq_.capacity() * sizeof(SeqStep) +
            steps_.capacity() * sizeof(Step) + preds_.capacity() * sizeof(int);
-  }
-
-  /// Cheap lower bound on delay(): the worst delay among children with at
-  /// least one instance on a timing path (every such instance pins the
-  /// worst path to at least its own delay). Used to skip a combination
-  /// before even the one-pass delay propagation runs.
-  double delay_lower_bound(const double* child_delay) const {
-    double lb = 0.0;
-    for (size_t c = 0; c < child_on_path_.size(); ++c) {
-      if (child_on_path_[c] && child_delay[c] > lb) lb = child_delay[c];
-    }
-    return lb;
   }
 
  private:
@@ -128,7 +129,6 @@ class TimingPlan {
 
   bool compiled_ = false;
   std::vector<int> inst_child_;  // instance -> distinct-child index
-  std::vector<unsigned char> child_on_path_;
   std::vector<SeqStep> seq_;     // nodes [0, seq_.size())
   std::vector<Step> steps_;      // nodes [seq_.size(), ...), topo order
   std::vector<int> preds_;       // flattened predecessor node indices

@@ -268,11 +268,12 @@ api::SynthesisResult SynthesisServer::dispatch_synthesize(
   } pending;
   pool_->submit([this, &req, &cancel, &pending](int slot) {
     api::SynthesisResult r = run_on_worker(req, slot, cancel);
-    {
-      base::LockGuard lock(pending.mu);
-      pending.result = std::move(r);
-      pending.done = true;
-    }
+    // Notify while holding the lock: once it is released the reader may
+    // see `done`, return and destroy `pending`, so nothing may touch it
+    // after the unlock.
+    base::LockGuard lock(pending.mu);
+    pending.result = std::move(r);
+    pending.done = true;
     pending.cv.notify_one();
   });
   base::UniqueLock lock(pending.mu);

@@ -24,6 +24,7 @@
 
 #include "base/thread_pool.h"
 #include "cells/registry.h"
+#include "datapaths.h"
 #include "dtas/synthesizer.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
@@ -32,8 +33,6 @@ namespace bridge {
 namespace {
 
 using genus::ComponentSpec;
-using genus::Op;
-using genus::OpSet;
 
 /// All three registry libraries: both built-ins plus the bundled Liberty
 /// import.
@@ -70,74 +69,6 @@ void expect_identical(const Front& a, const Front& b,
   }
 }
 
-/// An eight-spec datapath whose whole-netlist odometer is large enough to
-/// shard: registered operand -> ALU -> adder -> subtractor -> comparator
-/// -> mux -> xor merge -> output register.
-netlist::Module make_datapath() {
-  netlist::Module m("pardp");
-  const auto A = m.add_port("A", genus::PortDir::kIn, 8);
-  const auto B = m.add_port("B", genus::PortDir::kIn, 8);
-  const auto C = m.add_port("C", genus::PortDir::kIn, 8);
-  const auto F = m.add_port("F", genus::PortDir::kIn, 4);
-  const auto CI = m.add_port("CI", genus::PortDir::kIn, 1);
-  const auto SEL = m.add_port("SEL", genus::PortDir::kIn, 1);
-  const auto CLK = m.add_port("CLK", genus::PortDir::kIn, 1);
-  const auto EN = m.add_port("EN", genus::PortDir::kIn, 1);
-  const auto ARST = m.add_port("ARST", genus::PortDir::kIn, 1);
-  const auto OUT = m.add_port("OUT", genus::PortDir::kOut, 8);
-  const auto EQ = m.add_port("EQ", genus::PortDir::kOut, 1);
-  const auto ra = m.add_net("ra", 8);
-  const auto alu_out = m.add_net("alu_out", 8);
-  const auto sum = m.add_net("sum", 8);
-  const auto diff = m.add_net("diff", 8);
-  const auto muxed = m.add_net("muxed", 8);
-  const auto xr = m.add_net("xr", 8);
-
-  auto& rin = m.add_spec_instance("rin", genus::make_register_spec(8));
-  m.connect(rin, "D", A);
-  m.connect(rin, "CLK", CLK);
-  m.connect(rin, "EN", EN);
-  m.connect(rin, "ARST", ARST);
-  m.connect(rin, "Q", ra);
-  auto& alu =
-      m.add_spec_instance("alu0", genus::make_alu_spec(8, genus::alu16_ops()));
-  m.connect(alu, "A", ra);
-  m.connect(alu, "B", B);
-  m.connect(alu, "CI", CI);
-  m.connect(alu, "F", F);
-  m.connect(alu, "OUT", alu_out);
-  auto& add =
-      m.add_spec_instance("add0", genus::make_adder_spec(8, false, false));
-  m.connect(add, "A", alu_out);
-  m.connect(add, "B", C);
-  m.connect(add, "S", sum);
-  auto& sub = m.add_spec_instance("sub0", genus::make_subtractor_spec(8));
-  m.connect(sub, "A", sum);
-  m.connect(sub, "B", C);
-  m.connect(sub, "S", diff);
-  auto& cmp = m.add_spec_instance(
-      "cmp0", genus::make_comparator_spec(8, OpSet{Op::kEq}));
-  m.connect(cmp, "A", sum);
-  m.connect(cmp, "B", C);
-  m.connect(cmp, "EQ", EQ);
-  auto& mux = m.add_spec_instance("mux0", genus::make_mux_spec(8, 2));
-  m.connect(mux, "I0", alu_out);
-  m.connect(mux, "I1", diff);
-  m.connect(mux, "SEL", SEL);
-  m.connect(mux, "OUT", muxed);
-  auto& xg = m.add_spec_instance("xor0", genus::make_gate_spec(Op::kXor, 8, 2));
-  m.connect(xg, "I0", muxed);
-  m.connect(xg, "I1", sum);
-  m.connect(xg, "OUT", xr);
-  auto& rout =
-      m.add_spec_instance("rout", genus::make_register_spec(8, false, true));
-  m.connect(rout, "D", xr);
-  m.connect(rout, "CLK", CLK);
-  m.connect(rout, "ARST", ARST);
-  m.connect(rout, "Q", OUT);
-  return m;
-}
-
 TEST(ParallelEvaluation, SpecFrontsIdenticalAcrossThreadCounts) {
   const std::vector<std::pair<std::string, ComponentSpec>> specs = {
       {"Alu16", genus::make_alu_spec(16, genus::alu16_ops())},
@@ -161,7 +92,7 @@ TEST(ParallelEvaluation, SpecFrontsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEvaluation, NetlistFrontsIdenticalAcrossThreadCounts) {
-  const netlist::Module input = make_datapath();
+  const netlist::Module input = testutil::make_datapath8();
   ASSERT_TRUE(netlist::check_module(input).empty());
   for (const cells::CellLibrary* lib : registry().all()) {
     dtas::Synthesizer serial(*lib, sweep_options(1));
@@ -186,7 +117,7 @@ TEST(ParallelEvaluation, NetlistFrontsIdenticalAcrossThreadCounts) {
 TEST(ParallelEvaluation, MatchesReferenceEvaluatorAtEightThreads) {
   // Ties the parallel compiled evaluator all the way back to the original
   // functional evaluator in one step.
-  const netlist::Module input = make_datapath();
+  const netlist::Module input = testutil::make_datapath8();
   dtas::SpaceOptions reference = sweep_options(1);
   reference.use_compiled_plan = false;
   reference.bound_prune = false;
@@ -201,7 +132,7 @@ TEST(ParallelEvaluation, EnumerationAccountingInvariant) {
   // split may shift with the thread count — but every enumerated
   // combination lands in exactly one bucket, so the sum may not, and the
   // fronts may not (checked above).
-  const netlist::Module input = make_datapath();
+  const netlist::Module input = testutil::make_datapath8();
   long expected_sum = -1;
   for (int threads : {1, 2, 8}) {
     dtas::Synthesizer synth(cells::lsi_library(), sweep_options(threads));
@@ -221,7 +152,7 @@ TEST(ParallelEvaluation, EnumerationAccountingInvariant) {
 TEST(ParallelEvaluation, SerialAtOneThreadNeverCreatesAPool) {
   dtas::SpaceOptions opt = sweep_options(1);
   dtas::Synthesizer synth(cells::lsi_library(), opt);
-  synth.synthesize_netlist(make_datapath());
+  synth.synthesize_netlist(testutil::make_datapath8());
   EXPECT_EQ(synth.space().stats().parallel_odometers, 0);
   EXPECT_EQ(synth.space().stats().odometer_shards, 0);
 }
@@ -263,7 +194,7 @@ TEST(ParallelEvaluation, NodeParallelNetlistFrontsIdentical) {
   // each entry levelizes and fans out independently. Same bit-identity
   // bar as the spec-level test, plus the enumeration accounting
   // invariant: the evaluated+pruned sum is thread-count independent.
-  const netlist::Module input = make_datapath();
+  const netlist::Module input = testutil::make_datapath8();
   dtas::Synthesizer serial(cells::lsi_library(), sweep_options(1));
   const Front base = serial.synthesize_netlist(input);
   const dtas::SpaceStats& serial_stats = serial.space().stats();

@@ -298,6 +298,60 @@ TEST_F(ServerTest, SeededFaultRunNeitherWedgesPoolNorCorruptsCaches) {
                                  /*with_vhdl=*/false));
 }
 
+TEST_F(ServerTest, ManyShortRequestsOverSeveralConnections) {
+  // Warm, sub-millisecond requests back to back on persistent connections:
+  // the pattern where a reader wakes, returns and reuses its stack the
+  // moment the worker publishes a result. Every answer must arrive, in
+  // order, byte-identical to in-process synthesis.
+  const genus::ComponentSpec specs[] = {genus::make_adder_spec(4),
+                                        genus::make_mux_spec(4, 2)};
+  dtas::Synthesizer direct(cells::lsi_library());
+  std::vector<std::vector<dtas::AlternativeDesign>> expected;
+  for (const genus::ComponentSpec& spec : specs) {
+    expected.push_back(direct.synthesize(spec));
+  }
+  constexpr int kConnections = 4;
+  constexpr int kRequestsPerConnection = 200;
+  std::vector<int> mismatches(kConnections, 0);
+  std::vector<std::string> errors(kConnections);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = server::connect_tcp(port());
+      try {
+        for (int i = 0; i < kRequestsPerConnection; ++i) {
+          const int which = (c + i) % 2;
+          api::SynthesisRequest req;
+          req.library = cells::lsi_library().name();
+          req.spec = specs[which];
+          server::write_frame(fd, synthesize_frame(req));
+          std::string payload;
+          if (!server::read_frame(fd, payload)) {
+            throw Error("connection closed after " + std::to_string(i) +
+                        " responses");
+          }
+          const api::SynthesisResult res =
+              api::SynthesisResult::from_json(payload);
+          if (!res.ok() || !api::front_matches(res, expected[which],
+                                               /*with_vhdl=*/false)) {
+            ++mismatches[c];
+          }
+        }
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+      server::close_socket(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(errors[c], "") << "connection " << c;
+    EXPECT_EQ(mismatches[c], 0) << "connection " << c;
+  }
+  EXPECT_GE(server_->requests_handled(), kConnections * kRequestsPerConnection);
+  EXPECT_EQ(server_->errors_returned(), 0);
+}
+
 TEST_F(ServerTest, ShutdownMethodUnblocksWait) {
   std::thread waiter([this] { server_->wait(); });
   const Json res = Json::parse(

@@ -14,20 +14,22 @@
 //
 // Besides the Figure-3 table, this bench times each synthesis phase
 // (expand / evaluate / extract) under the compiled TimingPlan evaluator
-// and under the reference functional evaluator, checks the two produce
-// identical alternatives, and records both wall times in
-// BENCH_synthesis.json.
+// and under the reference functional evaluator (bridge_oracle), checks
+// the two produce identical alternatives, and records both wall times in
+// BENCH_synthesis.json. The cache-off legs of the expand and extract
+// headlines run the oracle's uncached expansion and copy-per-design
+// extraction.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <thread>
 
 #include "bench_json.h"
 #include "cells/cell.h"
 #include "dtas/synthesizer.h"
 #include "lint/lint.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 using namespace bridge;
@@ -45,29 +47,36 @@ struct PhaseTimes {
   long extract_misses = 0;
 };
 
+/// One timed synthesis of the 64-bit ALU. `compiled`, `template_cache`
+/// and `extraction_cache` false swap in the bridge_oracle reference for
+/// that phase: the functional evaluator, uncached expansion, and
+/// copy-per-design extraction.
 PhaseTimes run_phases(bool compiled, int threads = 1,
                       bool template_cache = true,
                       bool extraction_cache = true,
-                      bool warm_extract = false,
-                      double min_delay_gain = 0.10) {
+                      bool warm_extract = false) {
   using clock = std::chrono::steady_clock;
   auto ms = [](clock::time_point a, clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
   dtas::SpaceOptions opt;
-  opt.use_compiled_plan = compiled;
-  opt.bound_prune = compiled;
   opt.threads = threads;
-  opt.use_template_cache = template_cache;
-  opt.use_extraction_cache = extraction_cache;
-  opt.min_delay_gain = min_delay_gain;
   PhaseTimes pt;
+  const cells::CellLibrary& lsi = cells::lsi_library();
   const genus::ComponentSpec alu = genus::make_alu_spec(64, genus::alu16_ops());
   const auto t0 = clock::now();
-  dtas::Synthesizer synth(cells::lsi_library(), opt);
+  dtas::RuleBase rules = dtas::default_rules_for(lsi);
+  dtas::Synthesizer synth(template_cache
+                              ? std::move(rules)
+                              : oracle::uncached_rules(std::move(rules)),
+                          lsi, opt);
   auto* node = synth.space().expand(alu);
   const auto t1 = clock::now();
-  synth.space().evaluate(node);
+  if (compiled) {
+    synth.space().evaluate(node);
+  } else {
+    oracle::reference_evaluate(synth.space(), node);
+  }
   // Warm the per-Synthesizer extraction cache so the timed pass below
   // measures pure shared-module reuse (the cache is session-scoped, so a
   // prior synthesize on the same Synthesizer warms it).
@@ -75,7 +84,10 @@ PhaseTimes run_phases(bool compiled, int threads = 1,
   const dtas::ExtractionCache::Stats cache_before =
       synth.extraction_cache().stats();
   const auto t2 = clock::now();
-  pt.alts = synth.synthesize(alu);  // re-uses the expanded+evaluated space
+  // Both re-use the expanded+evaluated space.
+  pt.alts = extraction_cache
+                ? synth.synthesize(alu)
+                : oracle::extract_copies(synth.extraction_cache(), node);
   const auto t3 = clock::now();
   const dtas::ExtractionCache::Stats cache_after =
       synth.extraction_cache().stats();
@@ -158,8 +170,9 @@ int main() {
   }
 
   // Perf trajectory: compiled TimingPlan evaluator vs the reference
-  // functional evaluator. Every phase figure is the median of 5 runs,
-  // taken per phase (so the rows need not sum to the total row exactly).
+  // functional evaluator in bridge_oracle. Every phase figure is the
+  // median of 5 runs, taken per phase (so the rows need not sum to the
+  // total row exactly).
   struct PhaseMedians {
     double expand_ms, evaluate_ms, extract_ms, total_ms;
     std::vector<dtas::AlternativeDesign> alts;  // from the last run
@@ -169,14 +182,12 @@ int main() {
   auto measure = [](bool use_plan, int threads = 1,
                     bool template_cache = true,
                     bool extraction_cache = true,
-                    bool warm_extract = false,
-                    double min_delay_gain = 0.10) {
+                    bool warm_extract = false) {
     std::vector<double> expand, evaluate, extract, total;
     PhaseMedians m;
     for (int r = 0; r < 5; ++r) {
       PhaseTimes pt = run_phases(use_plan, threads, template_cache,
-                                 extraction_cache, warm_extract,
-                                 min_delay_gain);
+                                 extraction_cache, warm_extract);
       expand.push_back(pt.expand_ms);
       evaluate.push_back(pt.evaluate_ms);
       extract.push_back(pt.extract_ms);
@@ -212,8 +223,9 @@ int main() {
   row("total", compiled_total, reference_total);
 
   // Expansion-phase headline: warm template cache + interned names vs the
-  // cache-off path (which re-runs TemplateBuilder and plan compilation per
-  // expansion, the pre-cache behavior). The fronts must not notice.
+  // oracle's uncached expansion (which re-runs TemplateBuilder and plan
+  // compilation per expansion, the pre-cache behavior). The fronts must
+  // not notice.
   // `compiled` above ran with the cache on and warm — the process-wide
   // cache was populated by the very first synthesis in main().
   const PhaseMedians nocache = measure(true, 1, /*template_cache=*/false);
@@ -230,8 +242,9 @@ int main() {
 
   // Extraction-phase headline: warm per-Synthesizer extraction cache
   // (every distinct subtree materialized once, designs merely reference
-  // shared modules) vs the cache-off path (every design re-materializes
-  // every module, the pre-cache behavior). The fronts must not notice.
+  // shared modules) vs the oracle's copy-per-design extraction (every
+  // design re-materializes every module, the pre-cache behavior). The
+  // fronts must not notice.
   const PhaseMedians noextract =
       measure(true, 1, true, /*extraction_cache=*/false);
   const PhaseMedians warm_extract =
@@ -250,11 +263,7 @@ int main() {
 
   // Threads-vs-speedup datapoint: the Pareto-trimmed odometer sits far
   // below the shard threshold, so the sharded evaluator stays serial on
-  // this spec — but node-parallel evaluation (antichain fan-out across
-  // independent SpecNodes, SpaceOptions::node_parallel) now gives
-  // single-spec synthesis its own parallel axis; the dedicated
-  // node_parallel entry below records how far it carries the evaluate
-  // phase.
+  // this spec and eight threads should cost nothing but pool setup.
   const PhaseMedians threaded = measure(true, 8);
   const bool threaded_identical =
       benchjson::identical_fronts(threaded.alts, compiled.alts);
@@ -442,48 +451,9 @@ int main() {
       .num("diagnostics", static_cast<double>(lint_diags))
       .str("fronts_identical", verify_identical ? "yes" : "NO");
 
-  // Node-parallel evaluate: independent SpecNodes of the expansion DAG
-  // evaluated as ThreadPool antichain batches (the second parallel axis,
-  // orthogonal to odometer sharding). Measured on the dense sweep
-  // (min_delay_gain = 0) so the evaluate phase carries enough per-node
-  // work to show scaling; the entry records it at 1/2/8 threads, proves
-  // the fan-out actually engaged (node_parallel_nodes > 0), and pins
-  // bit-identical fronts across thread counts. hardware_concurrency
-  // rides along so the regression checker only holds the scaling floor
-  // on machines with cores to scale onto — this container reports 1.
-  const PhaseMedians np1 = measure(true, 1, true, true, false, 0.0);
-  const PhaseMedians np2 = measure(true, 2, true, true, false, 0.0);
-  const PhaseMedians np8 = measure(true, 8, true, true, false, 0.0);
-  const bool np_identical =
-      benchjson::identical_fronts(np2.alts, np1.alts) &&
-      benchjson::identical_fronts(np8.alts, np1.alts);
-  const double np_speedup =
-      np8.evaluate_ms > 0.0 ? np1.evaluate_ms / np8.evaluate_ms : 0.0;
-  std::printf("\nnode-parallel evaluate phase, dense sweep "
-              "(identical fronts: %s)\n", np_identical ? "yes" : "NO");
-  std::printf("  %-10s %10s %10s %10s %8s %8s\n", "threads", "t1(ms)",
-              "t2(ms)", "t8(ms)", "t8 spd", "nodes");
-  std::printf("  %-10s %10.2f %10.2f %10.2f %7.2fx %8ld\n", "evaluate",
-              np1.evaluate_ms, np2.evaluate_ms, np8.evaluate_ms,
-              np_speedup, np8.stats.node_parallel_nodes);
-
-  benchjson::Entry np;
-  np.name = "fig3_alu64/node_parallel";
-  np.num("evaluate_ms_t1", np1.evaluate_ms)
-      .num("evaluate_ms_t2", np2.evaluate_ms)
-      .num("evaluate_ms_t8", np8.evaluate_ms)
-      .num("speedup_t8_vs_t1", np_speedup)
-      .num("node_parallel_nodes_t8",
-           static_cast<double>(np8.stats.node_parallel_nodes))
-      .num("node_parallel_levels_t8",
-           static_cast<double>(np8.stats.node_parallel_levels))
-      .num("hardware_concurrency",
-           static_cast<double>(std::thread::hardware_concurrency()))
-      .str("fronts_identical", np_identical ? "yes" : "NO");
-
-  benchjson::write({e, ex, exr, ce, be, le, np});
+  benchjson::write({e, ex, exr, ce, be, le});
   return identical && threaded_identical && nocache_identical &&
-                 extract_identical && budget_identical && np_identical &&
+                 extract_identical && budget_identical &&
                  verify_identical && lint_diags == 0
              ? 0
              : 1;

@@ -2,19 +2,19 @@
 // minutes of real time on a SUN-3 workstation."
 //
 // This bench records the repo's synthesis-runtime trajectory. Every
-// workload runs twice — once on the compiled TimingPlan evaluator
-// (default) and once on the reference functional evaluator, i.e. the
-// pre-compiled-plan code path preserved behind
-// SpaceOptions::use_compiled_plan — and both total synthesis wall times
-// land in BENCH_synthesis.json, together with odometer statistics
-// (combinations evaluated / pruned / bound-skipped, and TimingPlan::delay
-// calls on real combinations vs on block bounds) and design-space sizes. On top of
-// that, every workload is re-run on the sharded parallel odometer at
-// threads ∈ {2, 4, 8}, recording one <workload>/t<N> entry each plus
-// suite-level sec6_runtime/suite_t<N> entries whose speedup_vs_1thread is
-// the threads-vs-speedup headline. All runs — both evaluators and every
-// thread count — must produce identical alternative fronts (same metrics,
-// same descriptions); any divergence fails the bench.
+// workload runs twice — once on the compiled TimingPlan evaluator and
+// once on the reference functional evaluator, the pre-compiled-plan code
+// path kept in the test-only bridge_oracle library — and both total
+// synthesis wall times land in BENCH_synthesis.json, together with
+// odometer statistics (combinations evaluated / pruned / bound-skipped,
+// and TimingPlan::delay calls on real combinations vs on block bounds)
+// and design-space sizes. On top of that, every workload is re-run on
+// the sharded parallel odometer at threads ∈ {2, 4, 8}, recording one
+// <workload>/t<N> entry each plus suite-level sec6_runtime/suite_t<N>
+// entries whose speedup_vs_1thread is the threads-vs-speedup headline.
+// All runs — both evaluators and every thread count — must produce
+// identical alternative fronts (same metrics, same descriptions); any
+// divergence fails the bench.
 //
 // Workloads:
 //  - spec synthesis of the Figure-3 ALU family and wide adders (these are
@@ -41,6 +41,7 @@
 #include "cells/cell.h"
 #include "dtas/synthesizer.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 
 using namespace bridge;
 
@@ -188,11 +189,8 @@ netlist::Module make_datapath(int w) {
   return m;
 }
 
-dtas::SpaceOptions with_evaluator(dtas::SpaceOptions opt, bool compiled,
-                                  int threads = 1) {
-  opt.use_compiled_plan = compiled;
-  opt.bound_prune = compiled;  // pruning belongs to the new evaluator
-  opt.threads = threads;       // 1 = the serial baseline path
+dtas::SpaceOptions with_threads(dtas::SpaceOptions opt, int threads) {
+  opt.threads = threads;  // 1 = the serial baseline path
   return opt;
 }
 
@@ -218,28 +216,61 @@ RunResult run(const dtas::SpaceOptions& opt, SynthFn&& synth_fn, int repeats) {
   return r;
 }
 
+/// The reference leg: `ref_fn` synthesizes through bridge_oracle and
+/// reports the combinations its evaluator enumerated.
+template <class RefFn>
+RunResult run_reference(const dtas::SpaceOptions& opt, RefFn&& ref_fn,
+                        int repeats) {
+  RunResult r;
+  r.wall_ms = benchjson::time_ms(
+      [&] {
+        dtas::Synthesizer synth(cells::lsi_library(), opt);
+        r.alts = ref_fn(synth, &r.evaluated);
+      },
+      repeats);
+  return r;
+}
+
 }  // namespace
 
 int main() {
+  using Front = std::vector<dtas::AlternativeDesign>;
   struct Workload {
     std::string name;
     dtas::SpaceOptions options;
-    std::function<std::vector<dtas::AlternativeDesign>(dtas::Synthesizer&)> fn;
+    std::function<Front(dtas::Synthesizer&)> fn;
+    // The same synthesis on the reference evaluator (bridge_oracle).
+    std::function<Front(dtas::Synthesizer&, long*)> reference;
+  };
+  auto spec_workload = [](std::string name, genus::ComponentSpec spec) {
+    return Workload{
+        std::move(name), dtas::SpaceOptions{},
+        [spec](dtas::Synthesizer& s) { return s.synthesize(spec); },
+        [spec](dtas::Synthesizer& s, long* combinations) {
+          return oracle::reference_synthesize(s, spec, combinations);
+        }};
+  };
+  auto netlist_workload = [](std::string name, dtas::SpaceOptions options) {
+    return Workload{
+        std::move(name), options,
+        [](dtas::Synthesizer& s) {
+          const netlist::Module input = make_datapath(16);
+          return s.synthesize_netlist(input);
+        },
+        [](dtas::Synthesizer& s, long* combinations) {
+          const netlist::Module input = make_datapath(16);
+          return oracle::reference_synthesize_netlist(s, input, combinations);
+        }};
   };
   std::vector<Workload> workloads;
 
   for (int width : {16, 32, 64}) {
     workloads.push_back(
-        {"sec6_runtime/alu" + std::to_string(width) + "_lsi",
-         dtas::SpaceOptions{},
-         [width](dtas::Synthesizer& s) {
-           return s.synthesize(genus::make_alu_spec(width, genus::alu16_ops()));
-         }});
+        spec_workload("sec6_runtime/alu" + std::to_string(width) + "_lsi",
+                      genus::make_alu_spec(width, genus::alu16_ops())));
   }
-  workloads.push_back({"sec6_runtime/adder128_lsi", dtas::SpaceOptions{},
-                       [](dtas::Synthesizer& s) {
-                         return s.synthesize(genus::make_adder_spec(128));
-                       }});
+  workloads.push_back(spec_workload("sec6_runtime/adder128_lsi",
+                                    genus::make_adder_spec(128)));
   // The dense sweep: strict Pareto (no favorable-tradeoff threshold) keeps
   // every non-dominated child alternative, so the whole-netlist odometer
   // runs against max_combinations_per_impl — the "several hundred thousand
@@ -248,11 +279,8 @@ int main() {
     dtas::SpaceOptions sweep;
     sweep.min_delay_gain = 0.0;
     sweep.max_combinations_per_impl = 200000;
-    workloads.push_back({"sec6_runtime/datapath16_sweep", sweep,
-                         [](dtas::Synthesizer& s) {
-                           const netlist::Module input = make_datapath(16);
-                           return s.synthesize_netlist(input);
-                         }});
+    workloads.push_back(
+        netlist_workload("sec6_runtime/datapath16_sweep", sweep));
   }
   // The same sweep at the top of the §5 range ("to several million"):
   // a deeper alternative cap and a one-million combination budget. This
@@ -262,17 +290,11 @@ int main() {
     sweep1m.min_delay_gain = 0.0;
     sweep1m.max_alternatives_per_node = 48;
     sweep1m.max_combinations_per_impl = 1000000;
-    workloads.push_back({"sec6_runtime/datapath16_sweep1m", sweep1m,
-                         [](dtas::Synthesizer& s) {
-                           const netlist::Module input = make_datapath(16);
-                           return s.synthesize_netlist(input);
-                         }});
+    workloads.push_back(
+        netlist_workload("sec6_runtime/datapath16_sweep1m", sweep1m));
   }
-  workloads.push_back({"sec6_runtime/datapath16_default", dtas::SpaceOptions{},
-                       [](dtas::Synthesizer& s) {
-                         const netlist::Module input = make_datapath(16);
-                         return s.synthesize_netlist(input);
-                       }});
+  workloads.push_back(netlist_workload("sec6_runtime/datapath16_default",
+                                       dtas::SpaceOptions{}));
 
   const char* quick_env = std::getenv("BRIDGE_BENCH_QUICK");
   const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
@@ -292,10 +314,9 @@ int main() {
   for (const Workload& w : workloads) {
     // Serial baseline (threads = 1, the PR 2 code path) vs the reference
     // functional evaluator.
-    const RunResult compiled =
-        run(with_evaluator(w.options, true), w.fn, repeats);
+    const RunResult compiled = run(with_threads(w.options, 1), w.fn, repeats);
     const RunResult reference =
-        run(with_evaluator(w.options, false), w.fn, repeats);
+        run_reference(with_threads(w.options, 1), w.reference, repeats);
     const bool same = benchjson::identical_fronts(compiled.alts,
                                                   reference.alts);
     all_identical = all_identical && same;
@@ -345,7 +366,7 @@ int main() {
     for (size_t t = 0; t < kThreadCounts.size(); ++t) {
       const int threads = kThreadCounts[t];
       const RunResult threaded =
-          run(with_evaluator(w.options, true, threads), w.fn, repeats);
+          run(with_threads(w.options, threads), w.fn, repeats);
       const bool tsame =
           benchjson::identical_fronts(threaded.alts, compiled.alts);
       all_identical = all_identical && tsame;

@@ -3,11 +3,12 @@
 // concurrent clients, cold caches vs warm.
 //
 // Cold models the one-shot flow the server exists to amortize: every
-// request disables the template and extraction caches and lands in a
-// fresh session (a unique, behaviorally inert cache-budget value keeps
-// the session fingerprints distinct), so each one pays full expansion,
-// evaluation and extraction. Warm is the steady state: default options,
-// shared process-wide TemplateCache, per-worker memoized sessions.
+// request lands in a fresh session (a unique, behaviorally inert
+// cache-budget value keeps the session fingerprints distinct), so each
+// one pays session construction, evaluation and extraction on an empty
+// extraction cache; expansion is served by the process-wide
+// TemplateCache like any production request. Warm is the steady state:
+// default options, per-worker memoized sessions.
 //
 // Every response — cold and warm, at every concurrency — must carry a
 // front byte-identical to in-process Synthesizer::synthesize; the exit
@@ -39,10 +40,8 @@ genus::ComponentSpec fig3_spec() {
 
 api::RequestOptions cold_options(int request_index) {
   api::RequestOptions o;
-  o.use_template_cache = false;
-  o.use_extraction_cache = false;
   // Distinct fingerprint per request -> fresh session per request. The
-  // budget itself never binds (the extraction cache is off).
+  // 1 GiB budget never binds (a fig3 front's modules take ~0.3 MB).
   o.extraction_cache_budget_bytes = (1L << 30) + request_index;
   return o;
 }
@@ -141,9 +140,8 @@ int main() {
   auto registry = cells::LibraryRegistry::with_builtins();
   const genus::ComponentSpec spec = fig3_spec();
 
-  // The in-process reference front. Cache-off synthesis is
-  // invariant-identical to this (bench_fig3_alu64 gates on that), so one
-  // reference serves both phases.
+  // The in-process reference front; cold and warm requests must both
+  // reproduce it.
   dtas::Synthesizer reference(cells::lsi_library());
   const std::vector<dtas::AlternativeDesign> expect =
       reference.synthesize(spec);

@@ -1,5 +1,6 @@
 #include "api/api.h"
 
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <sstream>
@@ -219,11 +220,6 @@ Json encode_options(const RequestOptions& o) {
       .set("max_alternatives_per_node", o.max_alternatives_per_node)
       .set("max_combinations_per_impl", o.max_combinations_per_impl)
       .set("min_delay_gain", o.min_delay_gain)
-      .set("use_compiled_plan", o.use_compiled_plan)
-      .set("node_parallel", o.node_parallel)
-      .set("delta_cache_keys", o.delta_cache_keys)
-      .set("use_template_cache", o.use_template_cache)
-      .set("use_extraction_cache", o.use_extraction_cache)
       .set("template_cache_budget_bytes", o.template_cache_budget_bytes)
       .set("extraction_cache_budget_bytes", o.extraction_cache_budget_bytes)
       .set("trace_path", o.trace_path)
@@ -233,25 +229,31 @@ Json encode_options(const RequestOptions& o) {
   return j;
 }
 
+/// `threads` sizes a thread pool, so an unchecked value could ask for
+/// more threads than the process can create; bound it before it narrows
+/// to int (the JSON number arrives as a double).
+int checked_threads(double threads) {
+  if (!(threads >= 0 && threads <= RequestOptions::kMaxThreads) ||
+      threads != std::floor(threads)) {
+    throw Error("option 'threads' must be an integer in [0, " +
+                std::to_string(RequestOptions::kMaxThreads) + "], got " +
+                format_json_number(threads));
+  }
+  return static_cast<int>(threads);
+}
+
 RequestOptions decode_options(const Json& j) {
   RequestOptions o;
   o.deadline_ms = j.int_or("deadline_ms", o.deadline_ms);
   o.deadline_best_effort =
       j.bool_or("deadline_best_effort", o.deadline_best_effort);
-  o.threads = static_cast<int>(j.int_or("threads", o.threads));
+  o.threads = checked_threads(j.num_or("threads", o.threads));
   o.filter = j.str_or("filter", o.filter);
   o.max_alternatives_per_node = static_cast<int>(
       j.int_or("max_alternatives_per_node", o.max_alternatives_per_node));
   o.max_combinations_per_impl =
       j.int_or("max_combinations_per_impl", o.max_combinations_per_impl);
   o.min_delay_gain = j.num_or("min_delay_gain", o.min_delay_gain);
-  o.use_compiled_plan = j.bool_or("use_compiled_plan", o.use_compiled_plan);
-  o.node_parallel = j.bool_or("node_parallel", o.node_parallel);
-  o.delta_cache_keys = j.bool_or("delta_cache_keys", o.delta_cache_keys);
-  o.use_template_cache =
-      j.bool_or("use_template_cache", o.use_template_cache);
-  o.use_extraction_cache =
-      j.bool_or("use_extraction_cache", o.use_extraction_cache);
   o.template_cache_budget_bytes = j.int_or("template_cache_budget_bytes",
                                            o.template_cache_budget_bytes);
   o.extraction_cache_budget_bytes = j.int_or(
@@ -280,12 +282,7 @@ dtas::SpaceOptions RequestOptions::space_options() const {
   o.max_alternatives_per_node = max_alternatives_per_node;
   o.max_combinations_per_impl = max_combinations_per_impl;
   o.min_delay_gain = min_delay_gain;
-  o.use_compiled_plan = use_compiled_plan;
-  o.node_parallel = node_parallel;
-  o.delta_cache_keys = delta_cache_keys;
-  o.threads = threads;
-  o.use_template_cache = use_template_cache;
-  o.use_extraction_cache = use_extraction_cache;
+  o.threads = checked_threads(threads);
   o.deadline_ms = deadline_ms;
   o.deadline_best_effort = deadline_best_effort;
   // The unset sentinels (-1 budgets, "" trace path) flow through to the
@@ -303,11 +300,7 @@ std::string RequestOptions::fingerprint() const {
   out << "filter=" << filter << ";alts=" << max_alternatives_per_node
       << ";comb=" << max_combinations_per_impl
       << ";gain=" << format_json_number(min_delay_gain)
-      << ";plan=" << use_compiled_plan << ";threads=" << threads
-      << ";npar=" << node_parallel << ";dkeys=" << delta_cache_keys
-      << ";tcache=" << use_template_cache
-      << ";xcache=" << use_extraction_cache
-      << ";tbudget=" << template_cache_budget_bytes
+      << ";threads=" << threads << ";tbudget=" << template_cache_budget_bytes
       << ";xbudget=" << extraction_cache_budget_bytes
       << ";trace=" << trace_path;
   return out.str();

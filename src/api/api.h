@@ -65,6 +65,12 @@ netlist::Module decode_netlist(const Json& j);
 /// the documented env defaults (see file comment). space_options() is
 /// the single translation point.
 struct RequestOptions {
+  /// Ceiling on `threads`: decode() and space_options() reject any value
+  /// outside [0, kMaxThreads] with an Error naming the field, so a
+  /// request can never ask the odometer pool for more threads than the
+  /// process can create.
+  static constexpr int kMaxThreads = 256;
+
   long deadline_ms = 0;           // 0 = unbounded
   bool deadline_best_effort = false;
   int threads = 1;                // per-request; servers keep this at 1
@@ -72,11 +78,6 @@ struct RequestOptions {
   int max_alternatives_per_node = 24;
   long max_combinations_per_impl = 100000;
   double min_delay_gain = 0.10;
-  bool use_compiled_plan = true;
-  bool node_parallel = true;      // antichain-parallel evaluate (threads > 1)
-  bool delta_cache_keys = true;   // content-fingerprint cache/session keys
-  bool use_template_cache = true;
-  bool use_extraction_cache = true;
   long template_cache_budget_bytes = -1;    // -1 = BRIDGE_CACHE_BUDGET default
   long extraction_cache_budget_bytes = -1;  // -1 = BRIDGE_CACHE_BUDGET default
   std::string trace_path;                   // "" = BRIDGE_TRACE default
@@ -93,7 +94,7 @@ struct RequestOptions {
 
   /// Resolve into the dtas layer's options, applying the env-default
   /// precedence documented above. Throws bridge::Error on an unknown
-  /// filter name.
+  /// filter name or an out-of-range `threads`.
   dtas::SpaceOptions space_options() const;
 
   /// Stable key of every field that shapes the memoized design space
@@ -117,7 +118,10 @@ struct SynthesisRequest {
   std::string to_json() const { return encode().dump(); }
 
   /// Throws bridge::Error / bridge::ParseError on malformed input
-  /// (missing library, neither or both of spec/netlist, bad enum names).
+  /// (missing library, neither or both of spec/netlist, bad enum names,
+  /// `threads` outside [0, RequestOptions::kMaxThreads]). Unknown option
+  /// keys are ignored, so requests from older clients that still send
+  /// the retired evaluator/cache toggles decode unchanged.
   static SynthesisRequest decode(const Json& j);
   static SynthesisRequest from_json(const std::string& text);
 };

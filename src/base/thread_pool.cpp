@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/diag.h"
 #include "base/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -54,13 +55,22 @@ struct CurrentPoolScope {
 ThreadPool::ThreadPool(int workers) {
   if (workers < 0) workers = 0;
   threads_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    // Slot 0 is the caller inside run(); workers take 1..workers().
-    threads_.emplace_back([this, i] { worker_loop(i + 1); });
+  try {
+    for (int i = 0; i < workers; ++i) {
+      // Slot 0 is the caller inside run(); workers take 1..workers().
+      threads_.emplace_back([this, i] { worker_loop(i + 1); });
+    }
+  } catch (...) {
+    // No destructor runs for a half-built pool, and destroying a joinable
+    // std::thread terminates the process.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     LockGuard lock(mu_);
     stop_ = true;
@@ -104,24 +114,11 @@ void ThreadPool::invoke(const std::function<void(int, int)>& fn, int task,
 
 void ThreadPool::run(int num_tasks, const std::function<void(int, int)>& fn) {
   if (num_tasks <= 0) return;
+  // Every other thread may be busy with (or waiting on) the outer
+  // generation, so a nested batch could wait forever.
+  BRIDGE_CHECK(current_pool_ != this,
+               "ThreadPool::run called from a task of the same pool");
   PoolMetrics& metrics = PoolMetrics::get();
-  if (current_pool_ == this) {
-    // Nested fork-join from inside one of this pool's own tasks: every
-    // other thread may be busy with (or waiting on) the outer generation,
-    // so handing the batch to the shared counters could deadlock. Execute
-    // inline instead — correctness is identical, the batch just runs at
-    // this thread's parallelism. Slot 0 because the nested caller's own
-    // per-slot scratch is the only one it may touch.
-    for (int task = 0; task < num_tasks; ++task) fn(task, /*slot=*/0);
-    {
-      LockGuard lock(mu_);
-      tasks_executed_ += num_tasks;
-      ++runs_;
-    }
-    metrics.tasks.add(num_tasks);
-    metrics.runs.add(1);
-    return;
-  }
   {
     LockGuard lock(mu_);
     fn_ = &fn;

@@ -15,16 +15,15 @@
 // (no lock-free tricks), which keeps the pool trivially clean under
 // ThreadSanitizer.
 //
-// run() must only be called from one thread at a time, with one
-// exception: a task already executing on a pool may call run() on that
-// same pool. Such a nested fork-join is detected (a thread-local tracks
-// which pool the current thread is executing for) and executed inline on
-// the calling thread — the batch still completes, there is just no extra
-// parallelism to hand it, and crucially no deadlock: the outer generation
-// keeps every worker busy, so queueing a nested generation could wait
-// forever. This is what lets node-parallel design-space evaluation nest
-// its per-node odometer sharding on the same pool, including under the
-// server's queued (submit/drain) mode.
+// run() must only be called from one thread at a time, and never from a
+// task executing on the same pool: the outer generation keeps every
+// worker busy, so a nested generation could wait forever. A thread-local
+// tracks which pool the current thread is executing for, and a same-pool
+// nested run() throws bridge::Error instead of deadlocking (the outer
+// batch still drains and the pool stays usable). Nesting across pools is
+// fine and gets the inner pool's full parallelism: a server worker (a
+// task of the server's pool) drives a design space whose odometer shards
+// run on the space's own pool.
 #pragma once
 
 #include <deque>
@@ -39,7 +38,9 @@ namespace bridge::base {
 class ThreadPool {
  public:
   /// Spawns `workers` parked threads (0 is valid: run() then executes
-  /// everything on the calling thread).
+  /// everything on the calling thread). When a thread cannot be created
+  /// (std::system_error, e.g. under an address-space limit), the workers
+  /// already started are stopped and joined before the error propagates.
   explicit ThreadPool(int workers);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -63,14 +64,9 @@ class ThreadPool {
   /// scratch state per thread rather than per task. If any fn call throws,
   /// the remaining tasks still run to completion and the first exception
   /// is rethrown from run() once every task has finished — workers never
-  /// outlive the fn object or the caller's captured state.
-  ///
-  /// Called from inside a task of this same pool, the batch executes
-  /// inline on the calling thread (slot passed to fn stays the outer
-  /// task's execution context, reported as 0): see the header comment. On
-  /// the inline path an exception aborts the remaining tasks and
-  /// propagates immediately — the caller is the only executor, so there
-  /// is no batch to drain first.
+  /// outlive the fn object or the caller's captured state. Throws
+  /// bridge::Error, running nothing, when called from inside a task of
+  /// this same pool (see the header comment).
   void run(int num_tasks, const std::function<void(int, int)>& fn);
 
   /// Convenience overload for callers that don't need the thread slot.
@@ -95,13 +91,17 @@ class ThreadPool {
  private:
   void worker_loop(int slot);
 
+  /// Tell every worker to exit (after finishing queued submitted tasks)
+  /// and join them.
+  void stop_and_join();
+
   /// Invoke fn, capturing the first exception instead of letting it
   /// escape (worker threads must never throw; the caller rethrows late).
   void invoke(const std::function<void(int, int)>& fn, int task, int slot);
 
   /// The pool (if any) the current thread is executing a task for — set
   /// around every fork-join invoke and submitted-task body, consulted by
-  /// run() to detect same-pool nesting. Thread-local so concurrent tasks
+  /// run() to reject same-pool nesting. Thread-local so concurrent tasks
   /// on different pools (a server worker driving a design-space pool)
   /// stay independent.
   static thread_local const ThreadPool* current_pool_;

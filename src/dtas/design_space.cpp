@@ -107,17 +107,14 @@ long cache_budget_from_env() {
 
 namespace {
 
-/// Byte footprint of one cached (rule, spec) entry: the compiled modules,
-/// schedules, and plans the cache keeps alive.
+/// Byte footprint of one cached (rule, spec) entry: the compiled modules
+/// and plans the cache keeps alive.
 std::size_t entry_footprint(const std::vector<CompiledTemplate>& templates) {
   std::size_t bytes = sizeof(std::vector<CompiledTemplate>) +
                       templates.capacity() * sizeof(CompiledTemplate);
   for (const CompiledTemplate& ct : templates) {
     if (ct.tmpl != nullptr) bytes += ct.tmpl->approx_footprint_bytes();
     bytes += ct.child_specs.capacity() * sizeof(genus::ComponentSpec);
-    if (ct.topo != nullptr) {
-      bytes += sizeof(EvalSchedule) + ct.topo->capacity() * sizeof(EvalStep);
-    }
     if (ct.plan != nullptr) bytes += ct.plan->approx_footprint_bytes();
   }
   return bytes;
@@ -232,7 +229,6 @@ void TemplateCache::evict_locked(Shard& shard, std::size_t target) {
       bool pinned = false;
       for (const CompiledTemplate& ct : *e.templates) {
         if ((ct.tmpl != nullptr && ct.tmpl.use_count() > 1) ||
-            (ct.topo != nullptr && ct.topo.use_count() > 1) ||
             (ct.plan != nullptr && ct.plan.use_count() > 1)) {
           pinned = true;
           break;
@@ -328,15 +324,13 @@ void DesignSpace::set_deadline_policy(
   options_.cancel = std::move(cancel);
 }
 
-bool DesignSpace::deadline_exceeded() { return deadline_poll(stats_); }
-
-bool DesignSpace::deadline_poll(SpaceStats& stats) {
+bool DesignSpace::deadline_exceeded() {
   if (!deadline_.active() || !deadline_.expired()) return false;
   if (!options_.deadline_best_effort) {
     throw Cancelled("synthesis deadline exceeded (deadline_ms = " +
                     std::to_string(options_.deadline_ms) + ")");
   }
-  stats.deadline_hit = true;
+  stats_.deadline_hit = true;
   return true;
 }
 
@@ -392,7 +386,7 @@ namespace {
 
 /// Run one rule's expand() and compile every produced template into its
 /// immutable shared form: distinct child specs (first-occurrence instance
-/// order), evaluation schedule, and timing plan. Pure in (rule name,
+/// order) and timing plan. Pure in (rule name,
 /// spec) by the Rule::expand contract, so the result is what the global
 /// TemplateCache stores. Combinational-cycle rejection is a property of
 /// the template and is recorded here; cyclic-*graph* rejection depends on
@@ -426,7 +420,6 @@ std::vector<CompiledTemplate> compile_rule_templates(
     }
     TimingPlan plan = TimingPlan::compile(tmpl, topo, child_spec_ptrs);
     ct.tmpl = std::make_shared<const Module>(std::move(tmpl));
-    ct.topo = std::make_shared<const EvalSchedule>(std::move(topo));
     ct.plan = std::make_shared<const TimingPlan>(std::move(plan));
     out.push_back(std::move(ct));
   }
@@ -481,15 +474,13 @@ void DesignSpace::expand_node(SpecNode* node) {
     // what pins the entry (see TemplateCache::evict_locked).
     TemplateCache::EntryPtr cached;
     const std::vector<CompiledTemplate>* compiled = nullptr;
-    std::vector<CompiledTemplate> local;  // cache-off / uncacheable rules
-    if (options_.use_template_cache && rule->cacheable()) {
+    std::vector<CompiledTemplate> local;  // rules that opt out of caching
+    if (rule->cacheable()) {
       // The key always carries the rule's slice fingerprint — that is
       // what makes sharing the process-wide cache across libraries
       // *sound* (a LambdaRule with private behavior gets a private key;
       // two same-named library rules over divergent content can never
-      // collide), so it is not subject to the delta_cache_keys toggle:
-      // soundness is an invariant, only retarget warm-reuse (extraction
-      // / session keying) is optional.
+      // collide).
       const std::uint64_t rule_fp = rule->slice_fingerprint();
       TemplateCache& cache = TemplateCache::global();
       cached = cache.find(rule->name(), rule_fp, spec);
@@ -527,7 +518,6 @@ void DesignSpace::expand_node(SpecNode* node) {
       auto impl = std::make_unique<ImplNode>();
       impl->rule_name = rule->name();
       impl->tmpl = ct.tmpl;
-      impl->topo = ct.topo;
       impl->plan = ct.plan;
       impl->children = std::move(children);
       slice_fp = base::fp_u64(slice_fp, 2);
@@ -658,76 +648,6 @@ EvalSchedule DesignSpace::topo_order(const Module& tmpl) {
     throw Error("combinational cycle in template " + tmpl.name());
   }
   return order;
-}
-
-Metric DesignSpace::eval_template(
-    const Module& tmpl, const EvalSchedule& topo,
-    const std::function<Metric(const ComponentSpec&)>& child_metric) {
-  const auto& insts = tmpl.instances();
-  const auto views = make_views(tmpl);
-  Metric total;
-  double worst_path = 0.0;
-
-  // Arrival time per net bit.
-  std::vector<std::vector<double>> arrival(tmpl.nets().size());
-  for (size_t nn = 0; nn < tmpl.nets().size(); ++nn) {
-    arrival[nn].assign(tmpl.nets()[nn].width, 0.0);
-  }
-
-  auto write_port = [&](int i, base::Symbol port, double t) {
-    for (const auto& [pname, conn, width] : views[i].outs) {
-      if (pname != port || conn.kind != PortConn::Kind::kNet) continue;
-      for (int b = 0; b < width; ++b) {
-        double& a = arrival[conn.net][conn.lo + b];
-        a = std::max(a, t);
-      }
-    }
-  };
-  auto in_arrival = [&](int i, const base::Symbol* out_port) {
-    double a = 0.0;
-    for (const auto& [in_port, conn, width] : views[i].ins) {
-      if (conn.kind != PortConn::Kind::kNet) continue;
-      if (out_port != nullptr &&
-          !genus::output_depends_on(insts[i].spec, *out_port, in_port)) {
-        continue;
-      }
-      const int span = conn.replicate ? 1 : width;
-      for (int b = 0; b < span; ++b) {
-        a = std::max(a, arrival[conn.net][conn.lo + b]);
-      }
-    }
-    return a;
-  };
-
-  // Area, and clock-to-q launch for sequential instances.
-  std::vector<int> seq_insts;
-  std::vector<double> inst_delay(insts.size(), 0.0);
-  for (int i = 0; i < static_cast<int>(insts.size()); ++i) {
-    Metric m = child_metric(insts[i].spec);
-    total.area += m.area;
-    inst_delay[i] = m.delay;
-    if (views[i].sequential) {
-      seq_insts.push_back(i);
-      for (const auto& [pname, conn, width] : views[i].outs) {
-        (void)conn;
-        (void)width;
-        write_port(i, pname, m.delay);
-      }
-      worst_path = std::max(worst_path, m.delay);
-    }
-  }
-  for (const EvalStep& step : topo) {
-    double t = in_arrival(step.instance, &step.port) +
-               inst_delay[step.instance];
-    write_port(step.instance, step.port, t);
-    worst_path = std::max(worst_path, t);
-  }
-  // Paths terminating at sequential inputs (register setup).
-  for (int i : seq_insts) {
-    worst_path = std::max(worst_path, in_arrival(i, nullptr));
-  }
-  total.delay = worst_path;
-  return total;
 }
 
 std::vector<Alternative> DesignSpace::filter_alternatives(
@@ -1068,16 +988,6 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
                                     const std::vector<int>& limit,
                                     int impl_index, ParetoFront& front,
                                     std::vector<Alternative>& candidates) {
-  run_plan_odometer(plan, children, limit, impl_index, front, candidates,
-                    scratch_, stats_);
-}
-
-void DesignSpace::run_plan_odometer(const TimingPlan& plan,
-                                    const std::vector<SpecNode*>& children,
-                                    const std::vector<int>& limit,
-                                    int impl_index, ParetoFront& front,
-                                    std::vector<Alternative>& candidates,
-                                    EvalScratch& scratch, SpaceStats& stats) {
   // Compiled path: per-child metric arrays feed the timing plan; each
   // combination is pure array arithmetic, and bound-and-prune skips whole
   // blocks whose bound an evaluated candidate already dominates, and
@@ -1098,7 +1008,8 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
   static obs::Counter& shards_counter =
       obs::Registry::global().counter("dtas.evaluate.odometer.shards");
   obs::Span span("odometer", "dtas");
-  const bool prune = prune_enabled();
+  // kNone keeps dominated candidates, so nothing may be pruned under it.
+  const bool prune = options_.filter != FilterKind::kNone;
   long total = 1;
   for (int l : limit) total *= l;  // callers capped the product (trim_limits)
 
@@ -1122,7 +1033,7 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
   OdometerCounters counters;
   if (num_shards <= 1) {
     run_odometer_range(plan, children, limit, impl_index, 0, total, prune,
-                       front, nullptr, 0, hooks, scratch, candidates,
+                       front, nullptr, 0, hooks, scratch_, candidates,
                        counters);
   } else {
     // Sharded run: contiguous index ranges in enumeration order. Every
@@ -1142,14 +1053,14 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
     const long chunk = (total + num_shards - 1) / num_shards;
     ParetoFront seeded = front;
     if (prune) {
-      prepare_odometer(children, limit, /*prune=*/false, scratch);
+      prepare_odometer(children, limit, /*prune=*/false, scratch_);
       for (long s = 0; s < num_shards; ++s) {
         const long begin = s * chunk;
         const long end = std::min(total, begin + chunk);
         if (begin >= end) continue;
         for (long idx : {begin, end - 1}) {
-          decode_index(idx, limit, scratch);
-          const Metric m = time_combination(plan, children, scratch);
+          decode_index(idx, limit, scratch_);
+          const Metric m = time_combination(plan, children, scratch_);
           seeded.add(m.area, m.delay);
           ++counters.bound_delay_calls;
         }
@@ -1186,19 +1097,19 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
     }
     parallel_runs_counter.add(1);
     shards_counter.add(num_shards);
-    ++stats.parallel_odometers;
-    stats.odometer_shards += num_shards;
+    ++stats_.parallel_odometers;
+    stats_.odometer_shards += num_shards;
   }
   if (deadline_hit.load(std::memory_order_relaxed)) {
     // Best-effort expiry: the candidate list is a prefix of each range,
     // still deterministic to merge, but the enumeration is partial —
     // record it.
-    stats.deadline_hit = true;
+    stats_.deadline_hit = true;
   }
-  stats.combinations_evaluated += counters.evaluated;
-  stats.combinations_pruned += counters.pruned;
-  stats.combinations_bound_skipped += counters.bound_skipped;
-  stats.bound_delay_calls += counters.bound_delay_calls;
+  stats_.combinations_evaluated += counters.evaluated;
+  stats_.combinations_pruned += counters.pruned;
+  stats_.combinations_bound_skipped += counters.bound_skipped;
+  stats_.bound_delay_calls += counters.bound_delay_calls;
   evaluated_counter.add(counters.evaluated);
   pruned_counter.add(counters.pruned);
   if (counters.bound_delay_calls != 0) {  // small odometers rarely bound
@@ -1207,78 +1118,10 @@ void DesignSpace::run_plan_odometer(const TimingPlan& plan,
   }
 }
 
-void DesignSpace::run_reference_odometer(const Module& tmpl,
-                                         const EvalSchedule& topo,
-                                         const std::vector<SpecNode*>& children,
-                                         const std::vector<int>& limit,
-                                         int impl_index,
-                                         std::vector<Alternative>& candidates) {
-  run_reference_odometer(tmpl, topo, children, limit, impl_index, candidates,
-                         stats_);
-}
-
-void DesignSpace::run_reference_odometer(const Module& tmpl,
-                                         const EvalSchedule& topo,
-                                         const std::vector<SpecNode*>& children,
-                                         const std::vector<int>& limit,
-                                         int impl_index,
-                                         std::vector<Alternative>& candidates,
-                                         SpaceStats& stats) {
-  // Reference path: the original functional evaluator, kept verbatim for
-  // equivalence testing and as the bench baseline.
-  static obs::Counter& evaluated_counter =
-      obs::Registry::global().counter("dtas.evaluate.combinations.evaluated");
-  obs::Span span("odometer", "dtas");
-  long evaluated = 0;
-  long seen = 0;
-  const int n = static_cast<int>(children.size());
-  std::vector<int> choice(n, 0);
-  for (;;) {
-    if (seen++ % kCheckpointPeriod == 0) {
-      // Same per-chunk checkpoint cadence as the compiled path (the
-      // reference odometer is always serial per node, so the deadline
-      // helper — which throws or records a best-effort hit in `stats` —
-      // applies directly).
-      base::FaultInjector::global().probe("dtas.evaluate.plan");
-      if (deadline_poll(stats)) break;
-    }
-    auto metric_of = [&](const ComponentSpec& spec) -> Metric {
-      for (int c = 0; c < n; ++c) {
-        if (children[c]->spec == spec) {
-          return children[c]->alts[choice[c]].metric;
-        }
-      }
-      throw Error("template child spec not found: " + spec.key());
-    };
-    Alternative alt;
-    alt.impl_index = impl_index;
-    alt.child_alt = choice;
-    alt.metric = eval_template(tmpl, topo, metric_of);
-    ++stats.combinations_evaluated;
-    ++evaluated;
-    candidates.push_back(std::move(alt));
-
-    int c = 0;
-    while (c < n && ++choice[c] >= limit[c]) {
-      choice[c] = 0;
-      ++c;
-    }
-    if (c == n) break;
-  }
-  evaluated_counter.add(evaluated);
-}
-
 void DesignSpace::evaluate(SpecNode* node) {
   obs::Span span(eval_depth_ == 0 ? "evaluate" : nullptr, "dtas");
   DepthGuard depth(eval_depth_);
   if (node->evaluated) return;
-  if (options_.node_parallel && threads_ > 1 && eval_depth_ == 1) {
-    // Top-level entry with a pool available: levelize and fan out. The
-    // recursive serial path below stays the reference (and the only path
-    // at threads == 1 or with the toggle off).
-    evaluate_parallel(node);
-    return;
-  }
   node->evaluated = true;  // set first: graph is acyclic by construction
   try {
     evaluate_impls(node);
@@ -1293,97 +1136,7 @@ void DesignSpace::evaluate(SpecNode* node) {
   }
 }
 
-void DesignSpace::evaluate_parallel(SpecNode* root) {
-  static obs::Counter& levels_counter =
-      obs::Registry::global().counter("dtas.evaluate.node_parallel.levels");
-  static obs::Counter& nodes_counter =
-      obs::Registry::global().counter("dtas.evaluate.node_parallel.nodes");
-  // Layer the un-evaluated sub-DAG reachable from `root`:
-  // level(n) = 1 + max level over the un-evaluated children of its
-  // decomposition impls (0 when every child is already evaluated). Each
-  // layer is an antichain of the evaluation dependency order — its nodes
-  // share no path — so once all lower layers are done, a layer's nodes
-  // evaluate independently. Nodes enter their layer in DFS discovery
-  // order, which is the order the serial recursion would first reach
-  // them; per-node evaluation is exactly the serial code on private
-  // state, so the resulting alts are bit-identical to the serial path.
-  std::unordered_map<const SpecNode*, int> level;
-  std::vector<std::vector<SpecNode*>> levels;
-  std::function<int(SpecNode*)> layer = [&](SpecNode* n) -> int {
-    if (n->evaluated) return -1;
-    auto it = level.find(n);
-    if (it != level.end()) return it->second;
-    int lv = 0;
-    for (const auto& impl : n->impls) {
-      if (impl->is_leaf()) continue;
-      for (SpecNode* child : impl->children) {
-        lv = std::max(lv, layer(child) + 1);
-      }
-    }
-    level.emplace(n, lv);
-    if (static_cast<int>(levels.size()) <= lv) levels.resize(lv + 1);
-    levels[static_cast<std::size_t>(lv)].push_back(n);
-    return lv;
-  };
-  layer(root);
-
-  std::vector<EvalScratch> scratches(static_cast<std::size_t>(threads_));
-  for (std::vector<SpecNode*>& nodes : levels) {
-    if (nodes.size() == 1) {
-      // Single-node antichain (typically the root, whose odometers carry
-      // most of the work): run on the caller so run_plan_odometer can
-      // still shard it across the pool.
-      SpecNode* n = nodes.front();
-      n->evaluated = true;
-      try {
-        evaluate_impls(n, scratch_, stats_, /*children_preevaluated=*/true);
-      } catch (...) {
-        n->evaluated = false;
-        n->alts.clear();
-        throw;
-      }
-      continue;
-    }
-    // Fork-join batch over the antichain. Each node writes only its own
-    // alts/flags, evaluates into the executing thread's scratch, and
-    // accumulates into a private SpaceStats merged after the barrier in
-    // node order (the sums are order-independent; merging in node order
-    // just keeps it obviously deterministic). A throwing node resets
-    // itself — the same strong exception safety as serial evaluate() —
-    // and the pool rethrows the first failure once the batch drains.
-    std::vector<SpaceStats> local(nodes.size());
-    pool()->run(static_cast<int>(nodes.size()), [&](int t, int slot) {
-      SpecNode* n = nodes[static_cast<std::size_t>(t)];
-      n->evaluated = true;
-      try {
-        evaluate_impls(n, scratches[static_cast<std::size_t>(slot)],
-                       local[static_cast<std::size_t>(t)],
-                       /*children_preevaluated=*/true);
-      } catch (...) {
-        n->evaluated = false;
-        n->alts.clear();
-        throw;
-      }
-    });
-    for (const SpaceStats& s : local) {
-      stats_.combinations_evaluated += s.combinations_evaluated;
-      stats_.combinations_pruned += s.combinations_pruned;
-      stats_.combinations_bound_skipped += s.combinations_bound_skipped;
-      stats_.bound_delay_calls += s.bound_delay_calls;
-      stats_.parallel_odometers += s.parallel_odometers;
-      stats_.odometer_shards += s.odometer_shards;
-      stats_.deadline_hit = stats_.deadline_hit || s.deadline_hit;
-    }
-    ++stats_.node_parallel_levels;
-    stats_.node_parallel_nodes += static_cast<long>(nodes.size());
-    levels_counter.add(1);
-    nodes_counter.add(static_cast<long>(nodes.size()));
-  }
-}
-
-void DesignSpace::evaluate_impls(SpecNode* node, EvalScratch& scratch,
-                                 SpaceStats& stats,
-                                 bool children_preevaluated) {
+void DesignSpace::evaluate_impls(SpecNode* node) {
   // Evaluated candidates of this node, across all implementations — the
   // prune front a combination must beat to be worth timing.
   ParetoFront front;
@@ -1393,7 +1146,7 @@ void DesignSpace::evaluate_impls(SpecNode* node, EvalScratch& scratch,
     // Best-effort deadline expiry stops further implementations; the
     // candidates gathered so far still filter into a valid (partial)
     // alternative list.
-    if (deadline_poll(stats)) break;
+    if (deadline_exceeded()) break;
     ImplNode* impl = node->impls[ii].get();
     if (impl->is_leaf()) {
       Alternative alt;
@@ -1403,19 +1156,10 @@ void DesignSpace::evaluate_impls(SpecNode* node, EvalScratch& scratch,
       candidates.push_back(std::move(alt));
       continue;
     }
-    // Evaluate children first. In node-parallel batches the levelization
-    // already evaluated every child in an earlier layer (this may run on
-    // a worker thread, where the recursive path's member state is off
-    // limits) — assert that instead of recursing.
+    // Evaluate children first.
     bool viable = true;
     for (SpecNode* child : impl->children) {
-      if (children_preevaluated) {
-        BRIDGE_CHECK(child->evaluated,
-                     "node-parallel level order violated for "
-                         << child->spec.key());
-      } else {
-        evaluate(child);
-      }
+      evaluate(child);
       if (child->alts.empty()) {
         viable = false;
         break;
@@ -1436,14 +1180,8 @@ void DesignSpace::evaluate_impls(SpecNode* node, EvalScratch& scratch,
 
     // Odometer over child alternative choices (uniform-implementation
     // constraint: one choice per *distinct* child spec).
-    if (options_.use_compiled_plan) {
-      run_plan_odometer(*impl->plan, impl->children, limit,
-                        static_cast<int>(ii), front, candidates, scratch,
-                        stats);
-    } else {
-      run_reference_odometer(*impl->tmpl, *impl->topo, impl->children, limit,
-                             static_cast<int>(ii), candidates, stats);
-    }
+    run_plan_odometer(*impl->plan, impl->children, limit,
+                      static_cast<int>(ii), front, candidates);
   }
   node->alts = filter_alternatives(std::move(candidates));
 }

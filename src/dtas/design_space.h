@@ -54,10 +54,10 @@ struct SpecNode;
 
 /// One alternative implementation of a specification.
 ///
-/// Decomposition products (template, schedule, plan) are immutable after
-/// creation and shared: every design space expanding the same (rule, spec)
-/// points at one copy served by the global TemplateCache, so a cache hit
-/// costs three refcount bumps instead of re-running TemplateBuilder string
+/// Decomposition products (template, plan) are immutable after creation
+/// and shared: every design space expanding the same (rule, spec) points
+/// at one copy served by the global TemplateCache, so a cache hit costs
+/// two refcount bumps instead of re-running TemplateBuilder string
 /// assembly and plan compilation.
 struct ImplNode {
   /// Leaf: the matched library cell (functional match). Null for decomps.
@@ -68,8 +68,6 @@ struct ImplNode {
   /// Distinct child specification nodes, in deterministic order (parallel
   /// to the plan's distinct-child indices).
   std::vector<SpecNode*> children;
-  /// Topological evaluation schedule of the template (combinational only).
-  std::shared_ptr<const EvalSchedule> topo;
   /// Compiled evaluation program for the template (see timing_plan.h).
   /// Drives both the per-combination evaluator and extraction's
   /// instance→child resolution. Null for leaves.
@@ -82,13 +80,12 @@ struct ImplNode {
 /// The immutable product of one template of one Rule::expand application,
 /// compiled once and shared across design spaces: the template module, its
 /// distinct child specifications (first-occurrence instance order — the
-/// order child metrics are indexed in), and the evaluation schedule + plan
-/// (absent when the template was rejected for a combinational cycle, which
-/// is a property of the template itself).
+/// order child metrics are indexed in), and the timing plan compiled from
+/// its evaluation schedule (absent when the template was rejected for a
+/// combinational cycle, which is a property of the template itself).
 struct CompiledTemplate {
   std::shared_ptr<const netlist::Module> tmpl;
   std::vector<genus::ComponentSpec> child_specs;
-  std::shared_ptr<const EvalSchedule> topo;
   std::shared_ptr<const TimingPlan> plan;
   bool rejected = false;  // combinational cycle in the template
 };
@@ -259,6 +256,8 @@ struct SpecNode {
 enum class FilterKind { kPareto, kNone, kAreaOnly, kDelayOnly };
 
 struct SpaceOptions {
+  /// Bound-and-prune (see DesignSpace::run_plan_odometer) runs under every
+  /// filter except kNone, which keeps dominated candidates.
   FilterKind filter = FilterKind::kPareto;
   /// Cap on surviving alternatives per node (after filtering).
   int max_alternatives_per_node = 24;
@@ -269,19 +268,6 @@ struct SpaceOptions {
   /// what keeps the paper's alternative sets small (5 designs for the
   /// 64-bit ALU) instead of full of near-duplicates.
   double min_delay_gain = 0.10;
-  /// Evaluate odometer combinations through the compiled TimingPlan
-  /// (default) or through the original functional evaluator. The reference
-  /// path exists for equivalence testing and as the bench baseline; both
-  /// produce bit-identical metrics.
-  bool use_compiled_plan = true;
-  /// Bound-and-prune the odometer: skip a whole block of combinations
-  /// when a bound on all of them (each free child at its minimum area and
-  /// its minimum delay) is already dominated (with margin) by an evaluated
-  /// candidate, and discard a combination without storing it when its
-  /// exact metrics are. Never changes the filtered front; automatically
-  /// off under FilterKind::kNone (which keeps dominated candidates) and on
-  /// the reference path.
-  bool bound_prune = true;
   /// Threads applied to the sharded plan odometer. 0 means
   /// hardware_concurrency; 1 preserves the fully serial pre-shard code
   /// path (no pool is ever created). The parallel result is bit-identical
@@ -298,42 +284,6 @@ struct SpaceOptions {
   /// Shards per thread above the minimum shard size — more shards than
   /// threads lets dynamic task claiming level uneven prune rates.
   int shards_per_thread = 4;
-  /// Evaluate independent SpecNodes of one expansion DAG in parallel:
-  /// evaluate() levelizes the un-evaluated sub-DAG and schedules each
-  /// antichain (nodes whose children are all already evaluated) as one
-  /// fork-join batch on the same pool the odometer shards use, so a single
-  /// deep spec saturates all cores instead of only sweeps. Per-node
-  /// evaluation is unchanged — each node keeps its private candidate
-  /// sequence, scratch, and front, and levels are merged in node order —
-  /// so fronts are bit-identical at every thread count and with this
-  /// toggle off (the serial recursive path, kept as the reference).
-  /// Inert at threads == 1.
-  bool node_parallel = true;
-  /// Key the per-Synthesizer ExtractionCache (modules, names, traces) by
-  /// content fingerprint — SpecNode::slice_fp, the spec plus everything
-  /// the expanded subtree bound — instead of node address (default), so
-  /// warm extraction state survives Synthesizer::retarget and is reused
-  /// exactly when the content that produced it matches; the server keys
-  /// warm sessions by library content fingerprint under the same toggle.
-  /// Off, the historical pointer identities are used — they cannot
-  /// outlive their space, so retargets start cold; kept as the reference
-  /// path for byte-identity testing. Fronts, descriptions, and VHDL are
-  /// identical either way within a session. Note the process-wide
-  /// TemplateCache always keys by (rule name, rule fingerprint, spec):
-  /// cross-library sharing soundness is an invariant, not an option.
-  bool delta_cache_keys = true;
-  /// Serve rule expansions from the process-wide TemplateCache (and
-  /// publish misses into it). Off, every expansion re-runs TemplateBuilder
-  /// and plan compilation — kept for equivalence testing; the resulting
-  /// design space is bit-identical either way.
-  bool use_template_cache = true;
-  /// Materialize each distinct (spec node, alternative) subtree once per
-  /// Synthesizer (dtas::ExtractionCache) and share the immutable module
-  /// across every AlternativeDesign that contains it, instead of rebuilding
-  /// the subtree into every design. Off, every design owns a private copy
-  /// of every module (the reference path, kept for equivalence testing);
-  /// descriptions and emitted VHDL are byte-identical either way.
-  bool use_extraction_cache = true;
   /// Non-empty: start the process span tracer (obs::Tracer) into this
   /// file when the space is constructed, as if BRIDGE_TRACE had been set
   /// — the programmatic hook for tracing one synthesis. The first path
@@ -403,8 +353,6 @@ struct SpaceStats {
   long bound_delay_calls = 0;
   long parallel_odometers = 0;      // odometer runs that went multi-threaded
   long odometer_shards = 0;         // shards executed across those runs
-  long node_parallel_levels = 0;    // DAG antichains evaluated as pool batches
-  long node_parallel_nodes = 0;     // spec nodes evaluated inside those batches
   // This space's TemplateCache lookups only — a this-run delta even when
   // several DesignSpaces interleave on the shared process-wide cache.
   // TemplateCache::snapshot() holds the global totals; per-space deltas
@@ -490,14 +438,6 @@ class DesignSpace {
   /// Deadline directly (see run_plan_odometer).
   bool deadline_exceeded();
 
-  /// Evaluate a template's metrics given per-child-spec metrics: area is
-  /// the sum over instances, delay the longest structural path (sequential
-  /// instances act as path sources/sinks with their clock-to-q delay).
-  /// Arrival times are tracked per net *bit*.
-  static Metric eval_template(
-      const netlist::Module& tmpl, const EvalSchedule& topo,
-      const std::function<Metric(const genus::ComponentSpec&)>& child_metric);
-
   /// Topological evaluation schedule over (instance, output port) units
   /// with bit-granular dependencies. Throws Error on a real combinational
   /// cycle.
@@ -515,25 +455,17 @@ class DesignSpace {
   /// index. Shared by per-implementation evaluation and whole-netlist
   /// synthesis — the same hot loop, one level apart. Digit c of the
   /// odometer is child c's alternative index (digit 0 changes fastest);
-  /// with pruning on, each aligned block of combinations sharing their
-  /// high digits is first timed once on a bound vector and skipped whole
-  /// when `front` dominates the bound, so only the survivors of that test
-  /// are timed one by one. Large odometers are sharded across
-  /// SpaceOptions::threads worker threads; the result is bit-identical to
-  /// the serial run (see SpaceOptions::threads).
+  /// unless the filter is kNone, each aligned block of combinations
+  /// sharing their high digits is first timed once on a bound vector and
+  /// skipped whole when `front` dominates the bound, so only the
+  /// survivors of that test are timed one by one. Large odometers are
+  /// sharded across SpaceOptions::threads worker threads; the result is
+  /// bit-identical to the serial run (see SpaceOptions::threads).
   void run_plan_odometer(const TimingPlan& plan,
                          const std::vector<SpecNode*>& children,
                          const std::vector<int>& limit, int impl_index,
                          ParetoFront& front,
                          std::vector<Alternative>& candidates);
-
-  /// The same odometer on the reference functional evaluator (the
-  /// pre-plan code path, kept verbatim for equivalence testing).
-  void run_reference_odometer(const netlist::Module& tmpl,
-                              const EvalSchedule& topo,
-                              const std::vector<SpecNode*>& children,
-                              const std::vector<int>& limit, int impl_index,
-                              std::vector<Alternative>& candidates);
 
   /// Shrink per-child alternative limits until their product fits `cap`
   /// (largest limit first).
@@ -544,48 +476,7 @@ class DesignSpace {
 
   /// The body of evaluate() (candidate enumeration + filtering), split
   /// out so evaluate() can wrap it in the reset-on-exception guard.
-  /// The explicit-scratch/stats overload is the thread-safe worker body of
-  /// node-parallel evaluation: every mutation lands in the caller-provided
-  /// scratch and stats (merged into stats_ after the level's barrier), and
-  /// `children_preevaluated` asserts the levelization guarantee instead of
-  /// recursing (the recursion path touches members and must stay
-  /// caller-thread-only).
-  void evaluate_impls(SpecNode* node) {
-    evaluate_impls(node, scratch_, stats_, /*children_preevaluated=*/false);
-  }
-  void evaluate_impls(SpecNode* node, EvalScratch& scratch, SpaceStats& stats,
-                      bool children_preevaluated);
-
-  /// Levelized node-parallel form of evaluate(): topologically layer the
-  /// un-evaluated sub-DAG under `root`, then evaluate each layer's nodes
-  /// as one fork-join pool batch (single-node layers — typically the root
-  /// — run on the caller so their odometers still shard across the pool).
-  void evaluate_parallel(SpecNode* root);
-
-  /// Thread-safe deadline poll for worker-thread evaluation: identical to
-  /// deadline_exceeded() but records a best-effort hit in `stats` instead
-  /// of stats_.
-  bool deadline_poll(SpaceStats& stats);
-
-  /// Explicit-scratch/stats overloads of the public odometers, so
-  /// node-parallel workers enumerate without touching the shared members.
-  void run_plan_odometer(const TimingPlan& plan,
-                         const std::vector<SpecNode*>& children,
-                         const std::vector<int>& limit, int impl_index,
-                         ParetoFront& front, std::vector<Alternative>& candidates,
-                         EvalScratch& scratch, SpaceStats& stats);
-  void run_reference_odometer(const netlist::Module& tmpl,
-                              const EvalSchedule& topo,
-                              const std::vector<SpecNode*>& children,
-                              const std::vector<int>& limit, int impl_index,
-                              std::vector<Alternative>& candidates,
-                              SpaceStats& stats);
-
-  /// Whether bound-and-prune applies under the current options (it must
-  /// stay off when the filter keeps dominated candidates).
-  bool prune_enabled() const {
-    return options_.bound_prune && options_.filter != FilterKind::kNone;
-  }
+  void evaluate_impls(SpecNode* node);
 
   /// The lazily created odometer pool (threads_ - 1 workers; the calling
   /// thread is the remaining one). Never created when threads_ == 1.
@@ -605,7 +496,8 @@ class DesignSpace {
   std::unique_ptr<base::ThreadPool> pool_;
   std::unordered_map<genus::ComponentSpec, std::unique_ptr<SpecNode>> memo_;
   // Serial-path evaluation scratch, reused across odometer runs. Parallel
-  // shards own one EvalScratch per shard instead (see run_plan_odometer).
+  // shards own one EvalScratch per thread slot instead (see
+  // run_plan_odometer).
   EvalScratch scratch_;
 };
 

@@ -130,18 +130,14 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Materializes chosen alternatives into hierarchical modules. With the
-/// extraction cache enabled, each distinct (node, alternative) subtree is
-/// built once per session as an immutable shared module and merely
-/// *registered* with every further design that needs it; disabled, every
-/// design owns a private copy of every module (the reference path). Both
-/// paths draw module names from the session table in ExtractionCache and
-/// walk subtrees in the same pre-order, so the hierarchies they produce
-/// are byte-identical under emission.
+/// Materializes chosen alternatives into hierarchical modules: each
+/// distinct (node, alternative) subtree is built once per session as an
+/// immutable shared module and merely *registered* with every further
+/// design that needs it. Module names come from the session table in
+/// ExtractionCache.
 class Extractor {
  public:
-  Extractor(Design& out, ExtractionCache& cache, bool use_cache)
-      : out_(out), cache_(cache), use_cache_(use_cache) {}
+  Extractor(Design& out, ExtractionCache& cache) : out_(out), cache_(cache) {}
 
   /// Module implementing (node, alt), registered with the design (along
   /// with its transitive children). Only valid for decomposition alts.
@@ -150,19 +146,13 @@ class Extractor {
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
 
-    if (!use_cache_) {
-      Module& mod = out_.add_module(cache_.name_for(node, alt_index));
-      fill(mod, node, alt_index, /*shared_build=*/false);
-      memo_[key] = &mod;
-      return &mod;
-    }
     std::shared_ptr<const Module> shared = shared_module(node, alt_index);
     const Module* raw = shared.get();
     out_.reference_module(std::move(shared));
     memo_[key] = raw;
     // Register the subtree's decomposition children with the design in
-    // the same pre-order the cache-off path creates them (the emitters
-    // walk module_order(), so the order is part of the contract).
+    // pre-order (the emitters walk module_order(), so the order is part
+    // of the contract).
     for_each_decomp_child(node, alt_index,
                           [this](const SpecNode* child, int child_alt) {
                             materialize(child, child_alt);
@@ -179,13 +169,11 @@ class Extractor {
   }
 
  private:
-  /// Build the body of the module implementing (node, alt) from its
-  /// implementation template. `shared_build` selects how module children
-  /// are resolved: cache-only (building a shared module that must not
-  /// touch any particular design) or design registration.
+  /// Build the body of the shared module implementing (node, alt) from
+  /// its implementation template; `children` collects the shared child
+  /// modules it points into.
   void fill(Module& mod, const SpecNode* node, int alt_index,
-            bool shared_build,
-            std::vector<std::shared_ptr<const Module>>* children = nullptr) {
+            std::vector<std::shared_ptr<const Module>>& children) {
     // Probe before any of `mod` is built: an injected throw here models
     // a mid-extraction failure, and the unwind must discard the partial
     // module without publishing it (inserts happen only after a
@@ -211,7 +199,7 @@ class Extractor {
       const int child_index = inst_child.at(ti_index++);
       const SpecNode* child = impl->children[child_index];
       const int child_alt = alt.child_alt.at(child_index);
-      bind(mod, ti, child, child_alt, shared_build, children);
+      bind(mod, ti, child, child_alt, /*shared_build=*/true, &children);
     }
   }
 
@@ -227,7 +215,7 @@ class Extractor {
     // own insert (whose budget sweep must not reclaim it) through this
     // insert, where the entry takes them over as subtree pins.
     std::vector<std::shared_ptr<const Module>> children;
-    fill(*mod, node, alt_index, /*shared_build=*/true, &children);
+    fill(*mod, node, alt_index, children);
     return cache_.insert(node, alt_index, std::move(mod),
                          std::move(children));
   }
@@ -308,7 +296,6 @@ class Extractor {
 
   Design& out_;
   ExtractionCache& cache_;
-  const bool use_cache_;
   std::map<std::pair<const SpecNode*, int>, const Module*> memo_;
 };
 
@@ -320,26 +307,15 @@ class Extractor {
 /// synthesize call and builds each subtree trace once.
 class Describer {
  public:
-  /// With a cache, traces memoize into its session-wide table (surviving
-  /// across synthesize calls) through the narrow find/memoize accessors;
-  /// without one (extraction cache off), a per-call local map serves the
-  /// same role.
-  explicit Describer(ExtractionCache* cache) : cache_(cache) {}
+  /// Traces memoize into the cache's session-wide table (surviving across
+  /// synthesize calls) through the narrow find/memoize accessors.
+  explicit Describer(ExtractionCache& cache) : cache_(cache) {}
 
   const std::string& describe(const SpecNode* node, int alt_index,
                               int depth) {
-    // Without a cache the table is per-call, so any injective key works;
-    // slice_fp is injective within one space (distinct nodes differ in
-    // spec, and the spec fingerprint seeds slice_fp).
-    const Key key{cache_ != nullptr ? cache_->node_key(node)
-                                    : node->slice_fp,
-                  alt_index, depth};
-    if (cache_ != nullptr) {
-      if (const std::string* hit = cache_->find_describe(key)) return *hit;
-    } else {
-      auto it = local_.find(key);
-      if (it != local_.end()) return it->second;
-    }
+    const ExtractionCache::DescribeKey key{cache_.node_key(node), alt_index,
+                                           depth};
+    if (const std::string* hit = cache_.find_describe(key)) return *hit;
     const Alternative& alt = node->alts.at(alt_index);
     const ImplNode* impl = node->impls.at(alt.impl_index).get();
     std::string s;
@@ -359,14 +335,11 @@ class Describer {
         if (!parts.empty()) s += " (" + join(parts, ", ") + ")";
       }
     }
-    if (cache_ != nullptr) return cache_->memoize_describe(key, std::move(s));
-    return local_.emplace(key, std::move(s)).first->second;
+    return cache_.memoize_describe(key, std::move(s));
   }
 
  private:
-  using Key = ExtractionCache::DescribeKey;
-  ExtractionCache* cache_;  // null = use the per-call local table
-  std::map<Key, std::string> local_;
+  ExtractionCache& cache_;
 };
 
 }  // namespace
@@ -410,17 +383,6 @@ void ExtractionCache::set_budget_bytes(std::size_t budget) {
   evict_to_budget();
 }
 
-void ExtractionCache::clear() {
-  ExtractionCacheMetrics::get().bytes.add(-static_cast<long>(bytes_));
-  modules_.clear();
-  names_.clear();
-  name_uses_.clear();
-  describe_memo_.clear();
-  bytes_ = 0;
-  tick_ = 0;
-  stats_.bytes = 0;
-}
-
 void ExtractionCache::evict_to_budget() {
   if (budget_ == 0) return;
   while (bytes_ > budget_) {
@@ -448,15 +410,12 @@ void ExtractionCache::evict_to_budget() {
 }
 
 std::uint64_t ExtractionCache::node_key(const SpecNode* node) const {
-  if (content_keys_) {
-    // slice_fp is 0 only before expansion; extraction always runs on
-    // evaluated (hence expanded) nodes, so a zero here is a caller bug.
-    BRIDGE_CHECK(node->slice_fp != 0,
-                 "extraction-cache key requested for unexpanded node "
-                     << node->spec.key());
-    return node->slice_fp;
-  }
-  return reinterpret_cast<std::uint64_t>(node);
+  // slice_fp is 0 only before expansion; extraction always runs on
+  // evaluated (hence expanded) nodes, so a zero here is a caller bug.
+  BRIDGE_CHECK(node->slice_fp != 0,
+               "extraction-cache key requested for unexpanded node "
+                   << node->spec.key());
+  return node->slice_fp;
 }
 
 const std::string& ExtractionCache::name_for(const SpecNode* node,
@@ -606,7 +565,6 @@ Synthesizer::Synthesizer(RuleBase rules, const cells::CellLibrary& library,
                          SpaceOptions options)
     : rules_(std::move(rules)) {
   space_.emplace(rules_, library, options);
-  extract_cache_.set_content_keys(options.delta_cache_keys);
   if (options.extraction_cache_budget_bytes >= 0) {
     extract_cache_.set_budget_bytes(
         static_cast<std::size_t>(options.extraction_cache_budget_bytes));
@@ -627,11 +585,6 @@ void Synthesizer::retarget(RuleBase rules, const cells::CellLibrary& library) {
   space_.reset();
   rules_ = std::move(rules);
   space_.emplace(rules_, library, options);
-  // Content-keyed entries survive on purpose — soundness lives in the
-  // key, and identical content re-keys onto them. Pointer keys cannot
-  // outlive the space whose node addresses they are: the allocator may
-  // recycle those addresses, so the reference mode starts cold.
-  if (!extract_cache_.content_keys()) extract_cache_.clear();
 }
 
 std::vector<AlternativeDesign> Synthesizer::synthesize(
@@ -651,9 +604,8 @@ std::vector<AlternativeDesign> Synthesizer::synthesize(
   }
   obs::Span extract_span("extract", "dtas");
   PhaseTimer extract_timer(prof.profile(), "extract");
-  const bool use_cache = space_->options().use_extraction_cache;
   std::vector<AlternativeDesign> out;
-  Describer describer(use_cache ? &extract_cache_ : nullptr);
+  Describer describer(extract_cache_);
   for (size_t a = 0; a < node->alts.size(); ++a) {
     // Best-effort deadline: the alternatives already materialized form a
     // valid (prefix of the) front; throw mode unwinds with nothing
@@ -690,7 +642,7 @@ std::vector<AlternativeDesign> Synthesizer::synthesize(
       }
       d.design->set_top(&top);
     } else {
-      Extractor ex(*d.design, extract_cache_, use_cache);
+      Extractor ex(*d.design, extract_cache_);
       const Module* top = ex.materialize(node, static_cast<int>(a));
       d.design->set_top(top);
     }
@@ -759,14 +711,9 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
                              space_->options().max_combinations_per_impl);
 
     std::vector<Alternative> candidates;
-    if (space_->options().use_compiled_plan) {
-      ParetoFront front;
-      space_->run_plan_odometer(*plan_owned, children, limit, /*impl_index=*/0,
-                               front, candidates);
-    } else {
-      space_->run_reference_odometer(input, topo, children, limit,
-                                    /*impl_index=*/0, candidates);
-    }
+    ParetoFront front;
+    space_->run_plan_odometer(*plan_owned, children, limit, /*impl_index=*/0,
+                              front, candidates);
     kept = space_->filter_alternatives(std::move(candidates));
   }
   const TimingPlan& plan = *plan_owned;
@@ -776,9 +723,8 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
   // Materialize each surviving combination. One Describer spans every
   // combination: their per-spec choices overlap heavily, so child traces
   // are built once instead of once per alternative.
-  const bool use_cache = space_->options().use_extraction_cache;
   std::vector<AlternativeDesign> out;
-  Describer describer(use_cache ? &extract_cache_ : nullptr);
+  Describer describer(extract_cache_);
   for (size_t a = 0; a < kept.size(); ++a) {
     if (space_->deadline_exceeded()) break;
     const Alternative& alt = kept[a];
@@ -796,7 +742,7 @@ std::vector<AlternativeDesign> Synthesizer::synthesize_netlist(
         top.add_net(nn.name, nn.width);
       }
     }
-    Extractor ex(*d.design, extract_cache_, use_cache);
+    Extractor ex(*d.design, extract_cache_);
     std::vector<std::string> parts;
     int ti_index = 0;
     for (const Instance& ti : input.instances()) {

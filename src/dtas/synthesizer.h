@@ -45,14 +45,11 @@ struct AlternativeDesign {
 /// their DesignSpace; content keys survive Synthesizer::retarget, so
 /// swinging to a different library and back (or to a library with
 /// identical content) re-extracts nothing that was already materialized.
-/// With SpaceOptions::delta_cache_keys off the cache falls back to
-/// pointer identity — the reference path retarget cannot reuse.
 ///
-/// The cache also owns two session-wide tables both extraction paths use:
+/// The cache also owns two session-wide tables:
 ///  - the module name table: names are unique across the whole session
 ///    (two distinct nodes whose sanitized spec keys collide get "_u<k>"
-///    uniquifiers), so a shared module can appear in any design, and the
-///    cache-off reference path names every module identically;
+///    uniquifiers), so a shared module can appear in any design;
 ///  - the memoized implementation traces behind Describer.
 ///
 /// Lifecycle: modules are byte-accounted, and under a budget
@@ -83,8 +80,7 @@ class ExtractionCache {
   ExtractionCache& operator=(const ExtractionCache&) = delete;
 
   /// Session-unique, VHDL-legal module name for (node, alt). Memoized;
-  /// first-request order fixes uniquifier assignment, and the cache-on
-  /// and cache-off paths request names in the same order.
+  /// first-request order fixes uniquifier assignment.
   const std::string& name_for(const SpecNode* node, int alt_index);
 
   /// Uniquify `base` against every name this session handed out: the
@@ -125,18 +121,10 @@ class ExtractionCache {
   /// Distinct memoized traces (diagnostics / tests).
   std::size_t describe_memo_size() const { return describe_memo_.size(); }
 
-  /// The cache identity of `node` — its content fingerprint
-  /// (SpecNode::slice_fp, only valid once expanded) under delta-aware
-  /// keys, its address under the pointer-keyed reference mode. Exposed
-  /// so Describer (and tests) can build DescribeKeys consistently.
+  /// The cache identity of `node`: its content fingerprint
+  /// (SpecNode::slice_fp, only valid once expanded). Exposed so Describer
+  /// (and tests) can build DescribeKeys consistently.
   std::uint64_t node_key(const SpecNode* node) const;
-
-  /// Select content (delta-aware, default) vs pointer keying. Must be
-  /// chosen before the first use of the session: flipping it mid-session
-  /// would split the tables. The Synthesizer wires this to
-  /// SpaceOptions::delta_cache_keys at construction.
-  void set_content_keys(bool content) { content_keys_ = content; }
-  bool content_keys() const { return content_keys_; }
 
   /// Byte budget; 0 = unbounded. The constructor takes the
   /// BRIDGE_CACHE_BUDGET default. Setting a budget sweeps immediately;
@@ -148,13 +136,6 @@ class ExtractionCache {
   const Stats& stats() const { return stats_; }
   /// Distinct modules resident (evicted ones no longer count).
   std::size_t size() const { return modules_.size(); }
-
-  /// Drop every table — modules, names, describe memos. Cumulative stats
-  /// survive (they count session work, not residency). Only the
-  /// pointer-keyed retarget path needs this: once the old DesignSpace is
-  /// destroyed its node addresses can be recycled, so stale pointer keys
-  /// could falsely hit. Content keys never need invalidation.
-  void clear();
 
  private:
   using Key = std::pair<std::uint64_t, int>;  // (node_key(node), alt)
@@ -176,7 +157,6 @@ class ExtractionCache {
   std::map<Key, std::string> names_;
   std::map<std::string, int> name_uses_;  // base -> names handed out
   std::map<DescribeKey, std::string> describe_memo_;
-  bool content_keys_ = true;
   std::size_t budget_ = 0;
   std::size_t bytes_ = 0;
   std::uint64_t tick_ = 0;
@@ -226,9 +206,7 @@ class Synthesizer {
   /// finds every previously materialized subtree warm, while changed
   /// content simply misses (the soundness is in the key, not in any
   /// invalidation sweep). The process-wide TemplateCache likewise carries
-  /// over by construction. With delta_cache_keys off the kept entries are
-  /// unreachable (pointer keys die with the old space) — correct, just
-  /// cold.
+  /// over by construction.
   void retarget(const cells::CellLibrary& library);
 
   /// As above with an explicit rule base (takes ownership).

@@ -2,12 +2,12 @@
 //
 // DTAS's search control (paper §5) only works because evaluating one
 // candidate out of "several hundred thousand to several million alternative
-// designs" is cheap. The functional evaluator
-// (DesignSpace::eval_template) re-derives everything per call: it rebuilds
-// string-keyed port views, resolves port directions through
-// genus::find_port, allocates per-net arrival vectors, and re-reads
-// per-bit arrival times — for every odometer combination of the same
-// template.
+// designs" is cheap. The functional evaluator — now the reference in the
+// test-only oracle library (tests/oracle/) that tests check plans against
+// — re-derives everything per call: it rebuilds string-keyed port views,
+// resolves port directions through genus::find_port, allocates per-net
+// arrival vectors, and re-reads per-bit arrival times — for every
+// odometer combination of the same template.
 //
 // A TimingPlan compiles a template once, when its ImplNode is created.
 // The key observation is that the bit-granular arrival buffer is only an

@@ -307,17 +307,11 @@ api::SynthesisResult SynthesisServer::run_on_worker(
     // while any content edit gets a fresh one. The rules flavor rides
     // along because default_rules_for picks rule sets by library, and two
     // content-divergent libraries could otherwise only differ outside the
-    // options fingerprint. Pointer-keyed mode (delta_cache_keys off)
-    // falls back to the name so the reference path keeps the historical
-    // one-session-per-name behavior.
+    // options fingerprint.
     std::ostringstream key_out;
-    if (req.options.delta_cache_keys) {
-      key_out << "fp:" << std::hex << library->fingerprint() << std::dec
-              << "|rules:" << dtas::default_rules_flavor(*library);
-    } else {
-      key_out << "name:" << req.library;
-    }
-    key_out << "|" << req.options.fingerprint()
+    key_out << "fp:" << std::hex << library->fingerprint() << std::dec
+            << "|rules:" << dtas::default_rules_flavor(*library) << "|"
+            << req.options.fingerprint()
             << (truncating ? "|best-effort" : "");
     const std::string key = key_out.str();
     auto it = sessions.find(key);

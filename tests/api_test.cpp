@@ -243,6 +243,72 @@ TEST(ApiRequestTest, RejectsMalformedRequests) {
       Error);
 }
 
+TEST(ApiRequestTest, OutOfRangeThreadsIsAnErrorNamingTheField) {
+  // `threads` sizes the odometer's thread pool; a value the process
+  // cannot create threads for used to abort it. Below 0, above the
+  // documented ceiling, or outside int range: an Error naming the field.
+  const std::string head =
+      R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":4},)";
+  for (const char* bad : {"-1", "257", "2000", "4294967297", "1e300", "2.5"}) {
+    SCOPED_TRACE(bad);
+    try {
+      api::SynthesisRequest::from_json(head + R"("options":{"threads":)" +
+                                       bad + "}}");
+      ADD_FAILURE() << "threads = " << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (int ok : {0, 1, api::RequestOptions::kMaxThreads}) {
+    EXPECT_EQ(api::SynthesisRequest::from_json(
+                  head + R"("options":{"threads":)" + std::to_string(ok) +
+                  "}}")
+                  .options.threads,
+              ok);
+  }
+  // A request built in process is held to the same range.
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(4);
+  req.options.threads = 2000;
+  auto registry = cells::LibraryRegistry::with_builtins();
+  const api::SynthesisResult res = api::run_request(req, registry);
+  EXPECT_EQ(res.status, "error");
+  EXPECT_NE(res.error.find("threads"), std::string::npos) << res.error;
+}
+
+TEST(ApiRequestTest, RetiredToggleKeysAreIgnored) {
+  // Requests from clients that still send the five retired evaluator /
+  // cache toggles (all output-invariant by contract) decode to the same
+  // options and session fingerprint, and run to a byte-identical result.
+  const std::string plain =
+      R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":16},)"
+      R"("options":{"emit_vhdl":true}})";
+  const std::string retired =
+      R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":16},)"
+      R"("options":{"emit_vhdl":true,"use_compiled_plan":false,)"
+      R"("node_parallel":false,"delta_cache_keys":false,)"
+      R"("use_template_cache":false,"use_extraction_cache":false}})";
+  const api::SynthesisRequest a = api::SynthesisRequest::from_json(plain);
+  const api::SynthesisRequest b = api::SynthesisRequest::from_json(retired);
+  EXPECT_EQ(a.options, b.options);
+  EXPECT_EQ(a.options.fingerprint(), b.options.fingerprint());
+  EXPECT_EQ(a.to_json(), b.to_json());
+  for (const char* key : {"use_compiled_plan", "node_parallel",
+                          "delta_cache_keys", "use_template_cache",
+                          "use_extraction_cache"}) {
+    EXPECT_EQ(b.to_json().find(key), std::string::npos)
+        << "encode() still emits " << key;
+  }
+  auto registry = cells::LibraryRegistry::with_builtins();
+  api::run_request(a, registry);  // warm the process-wide template cache
+  const api::SynthesisResult ra = api::run_request(a, registry);
+  const api::SynthesisResult rb = api::run_request(b, registry);
+  ASSERT_TRUE(ra.ok()) << ra.error;
+  EXPECT_EQ(ra.to_json(), rb.to_json());
+}
+
 TEST(ApiRunTest, RequestMatchesDirectSynthesis) {
   api::SynthesisRequest req;
   req.library = cells::lsi_library().name();

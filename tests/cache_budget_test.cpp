@@ -134,7 +134,7 @@ TEST(CacheBudgetTest, TemplateCacheNeverEvictsPinnedEntries) {
   ASSERT_FALSE(expect.areas.empty());
 
   // The live DesignSpace holds shared_ptrs into its entries (ImplNode
-  // tmpl/topo/plan): a brutal budget may not invalidate them. The budget
+  // tmpl/plan): a brutal budget may not invalidate them. The budget
   // is a target, not a hard cap — and the synthesizer keeps working,
   // byte-identically, against the same space.
   tc.set_budget_bytes(1);

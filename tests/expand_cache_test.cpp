@@ -1,11 +1,11 @@
 // Expansion-side caching and contracts.
 //
-// The template cache must be transparent: a design space built with
-// SpaceOptions::use_template_cache off (every expansion re-runs
-// TemplateBuilder + plan compilation) and one built with it on (expansions
-// served from the process-wide cache, warm or cold) must produce the same
-// SpecNode graph, the same filtered fronts, the same descriptions, and the
-// same emitted VHDL, against every registry library. The remaining tests
+// The template cache must be transparent: a design space built on
+// oracle::uncached_rules (every expansion re-runs TemplateBuilder + plan
+// compilation) and one built on the plain rules (expansions served from
+// the process-wide cache, warm or cold) must produce the same SpecNode
+// graph, the same filtered fronts, the same descriptions, and the same
+// emitted VHDL, against every registry library. The remaining tests
 // pin the expansion-side contracts this PR tightened: gate_many's
 // single-pick rules, RuleBase's indexed name lookup, and connect_const's
 // width masking.
@@ -24,6 +24,7 @@
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -65,7 +66,8 @@ void graph_signature(const SpecNode* node, std::set<std::string>& visited,
         os << child->spec.key() << ";";
       }
       os << ")#i" << impl->tmpl->instances().size() << "n"
-         << impl->tmpl->nets().size() << "t" << impl->topo->size();
+         << impl->tmpl->nets().size() << "t"
+         << DesignSpace::topo_order(*impl->tmpl).size();
     }
   }
   os << " }\n";
@@ -87,9 +89,10 @@ struct SynthesisRecord {
 SynthesisRecord synthesize_record(const cells::CellLibrary& lib,
                                   const ComponentSpec& spec,
                                   bool use_cache) {
-  SpaceOptions opt;
-  opt.use_template_cache = use_cache;
-  dtas::Synthesizer synth(lib, opt);
+  dtas::RuleBase rules = dtas::default_rules_for(lib);
+  dtas::Synthesizer synth(
+      use_cache ? std::move(rules) : oracle::uncached_rules(std::move(rules)),
+      lib);
   auto alts = synth.synthesize(spec);
   SynthesisRecord rec;
   for (const auto& a : alts) {

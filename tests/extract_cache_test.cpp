@@ -1,13 +1,13 @@
 // Extraction-side caching and the extraction-path contracts.
 //
-// The extraction cache must be transparent: a Synthesizer extracting with
-// SpaceOptions::use_extraction_cache off (every AlternativeDesign owns a
-// private copy of every module — the original path) and one extracting
-// with it on (each distinct (SpecNode, alternative) subtree materialized
-// once and shared across the front) must produce byte-identical
-// descriptions and byte-identical structural VHDL, against every registry
-// library, for single-spec and whole-netlist synthesis alike. The cache-on
-// front must actually *share* storage: the same netlist::Module address
+// The extraction cache must be transparent: copy-per-design extraction
+// (oracle::extract_copies — every AlternativeDesign owns a private copy of
+// every module, the original path) and production extraction (each
+// distinct (SpecNode, alternative) subtree materialized once and shared
+// across the front) must produce byte-identical descriptions and
+// byte-identical structural VHDL, against every registry library, for
+// single-spec and whole-netlist synthesis alike. The production front
+// must actually *share* storage: the same netlist::Module address
 // appearing in several alternatives' designs. The remaining tests pin the
 // extraction contracts this PR fixed: session-unique module naming under
 // sanitized-key collisions, the no-silently-floating-input rule in
@@ -26,6 +26,7 @@
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -33,7 +34,6 @@ namespace {
 
 using dtas::AlternativeDesign;
 using dtas::ExtractionCache;
-using dtas::SpaceOptions;
 using dtas::SpecNode;
 using genus::ComponentSpec;
 using genus::Op;
@@ -52,10 +52,13 @@ const cells::LibraryRegistry& registry() {
   return reg;
 }
 
-SpaceOptions options_with_cache(bool use_cache) {
-  SpaceOptions opt;
-  opt.use_extraction_cache = use_cache;
-  return opt;
+/// Production expansion and evaluation of `spec`, extracted
+/// copy-per-design with the session's name table.
+std::vector<AlternativeDesign> synthesize_copies(dtas::Synthesizer& synth,
+                                                 const ComponentSpec& spec) {
+  SpecNode* node = synth.space().expand(spec);
+  synth.space().evaluate(node);
+  return oracle::extract_copies(synth.extraction_cache(), node);
 }
 
 struct FrontRecord {
@@ -115,9 +118,9 @@ TEST(ExtractCacheTest, CacheOnOffByteIdenticalAcrossLibraries) {
   for (const cells::CellLibrary* lib : registry().all()) {
     for (const ComponentSpec& spec : specs) {
       SCOPED_TRACE(lib->name() + " / " + spec.key());
-      dtas::Synthesizer off(*lib, options_with_cache(false));
-      dtas::Synthesizer on(*lib, options_with_cache(true));
-      const FrontRecord off_rec = record_front(off.synthesize(spec));
+      dtas::Synthesizer off(*lib);
+      dtas::Synthesizer on(*lib);
+      const FrontRecord off_rec = record_front(synthesize_copies(off, spec));
       const FrontRecord cold_rec = record_front(on.synthesize(spec));
       // A second synthesize on the same Synthesizer extracts on a warm
       // cache (every module already materialized).
@@ -144,9 +147,9 @@ TEST(ExtractCacheTest, NetlistSynthesisByteIdenticalAndShared) {
   ASSERT_TRUE(netlist::check_module(input).empty());
   for (const cells::CellLibrary* lib : registry().all()) {
     SCOPED_TRACE(lib->name());
-    dtas::Synthesizer off(*lib, options_with_cache(false));
-    dtas::Synthesizer on(*lib, options_with_cache(true));
-    const auto off_alts = off.synthesize_netlist(input);
+    dtas::Synthesizer off(*lib);
+    dtas::Synthesizer on(*lib);
+    const auto off_alts = oracle::reference_synthesize_netlist(off, input);
     const auto on_alts = on.synthesize_netlist(input);
     expect_identical(record_front(off_alts), record_front(on_alts),
                      "netlist front");
@@ -157,7 +160,7 @@ TEST(ExtractCacheTest, AlternativesShareModuleStorage) {
   // The alternatives of one front overlap heavily in their subtrees; with
   // the cache on, an overlapping subtree is the *same* Module object in
   // every design that contains it.
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const auto alts =
       synth.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
   ASSERT_GE(alts.size(), 2u);
@@ -174,20 +177,20 @@ TEST(ExtractCacheTest, AlternativesShareModuleStorage) {
       << "no module address is shared across alternatives";
 
   // The reference path must NOT share: every design owns its copies.
-  dtas::Synthesizer ref(cells::lsi_library(), options_with_cache(false));
+  dtas::Synthesizer ref(cells::lsi_library());
   const auto ref_alts =
-      ref.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
+      synthesize_copies(ref, genus::make_alu_spec(16, genus::alu16_ops()));
   std::set<const Module*> seen;
   for (const auto& a : ref_alts) {
     for (const Module* m : a.design->module_order()) {
       EXPECT_TRUE(seen.insert(m).second)
-          << "cache-off design shares module storage";
+          << "copy-per-design oracle shares module storage";
     }
   }
 }
 
 TEST(ExtractCacheTest, WarmSynthesisReusesEarlierModules) {
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const ComponentSpec spec = genus::make_adder_spec(32);
   const auto first = synth.synthesize(spec);
   const long misses_after_first = synth.extraction_cache().stats().misses;
@@ -203,7 +206,7 @@ TEST(ExtractCacheTest, WarmSynthesisReusesEarlierModules) {
 }
 
 TEST(ExtractCacheTest, EmissionCacheRendersEachModuleOnce) {
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const auto alts =
       synth.synthesize(genus::make_alu_spec(16, genus::alu16_ops()));
   ASSERT_GE(alts.size(), 2u);
@@ -270,12 +273,11 @@ TEST(ExtractCacheTest, StrippedTemplateConnectionThrows) {
   input.connect(g, "I0", a);
   // I1 deliberately left unconnected.
   input.connect(g, "OUT", out);
-  for (bool use_cache : {false, true}) {
-    dtas::Synthesizer synth(cells::lsi_library(),
-                            options_with_cache(use_cache));
-    EXPECT_THROW(synth.synthesize_netlist(input), Error)
-        << "use_cache=" << use_cache;
-  }
+  dtas::Synthesizer synth(cells::lsi_library());
+  EXPECT_THROW(synth.synthesize_netlist(input), Error);
+  dtas::Synthesizer copies(cells::lsi_library());
+  EXPECT_THROW(oracle::reference_synthesize_netlist(copies, input), Error)
+      << "the copy-per-design oracle must refuse too";
 }
 
 TEST(ExtractCacheTest, DigitLeadingNetlistNameEmitsLegalVhdl) {
@@ -300,7 +302,7 @@ TEST(ExtractCacheTest, DigitLeadingNetlistNameEmitsLegalVhdl) {
     renamed.connect(buf, "OUT", out);
   }
   ASSERT_TRUE(netlist::check_module(renamed).empty());
-  dtas::Synthesizer synth(cells::lsi_library(), options_with_cache(true));
+  dtas::Synthesizer synth(cells::lsi_library());
   const auto alts = synth.synthesize_netlist(renamed);
   ASSERT_FALSE(alts.empty());
   const std::string text = vhdl::emit_structural(*alts.front().design);

@@ -25,6 +25,7 @@
 #include "dtas/design_space.h"
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -212,12 +213,12 @@ TEST(FaultToleranceTest, ExtractionFaultThenRetry) {
 TEST(FaultToleranceTest, TemplateCacheInsertFaultLeavesNoPartialEntry) {
   DisarmGuard guard;
   const ComponentSpec spec = genus::make_adder_spec(27);  // unique: cold
-  // The baseline runs with the template cache off (bit-identical by
+  // The baseline expands through uncached rules (bit-identical by
   // contract) so it does NOT pre-publish this spec's rules — the faulted
   // run below must be the first inserter.
-  SpaceOptions no_tc;
-  no_tc.use_template_cache = false;
-  dtas::Synthesizer baseline(cells::lsi_library(), no_tc);
+  dtas::Synthesizer baseline(
+      oracle::uncached_rules(dtas::default_rules_for(cells::lsi_library())),
+      cells::lsi_library());
   const FrontRecord expect = record_front(baseline.synthesize(spec));
 
   const auto before = dtas::TemplateCache::global().snapshot();
@@ -250,18 +251,25 @@ TEST(FaultToleranceTest, ParallelEvaluationFaultDrainsAndRetries) {
   // A fault inside a sharded odometer worker must be captured by the
   // pool, the batch drained, the exception rethrown from the caller —
   // and the same Synthesizer (owning the same pool) must then retry to a
-  // byte-identical front.
+  // byte-identical front. The dense sweep with small shards makes the
+  // ALU's odometers shard, so the pool-task probe fires inside a shard.
   DisarmGuard guard;
   const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
   SpaceOptions opt;
   opt.threads = 3;
+  opt.min_delay_gain = 0.0;
+  opt.min_combinations_per_shard = 16;
   dtas::Synthesizer baseline(cells::lsi_library(), opt);
   const FrontRecord expect = record_front(baseline.synthesize(spec));
+  ASSERT_GT(baseline.space().stats().parallel_odometers, 0);
 
-  dtas::Synthesizer synth(cells::lsi_library(), opt);
-  FaultInjector::global().arm_site("dtas.evaluate.plan", 2);
-  EXPECT_THROW(synth.synthesize(spec), FaultInjected);
-  EXPECT_EQ(record_front(synth.synthesize(spec)), expect);
+  for (const char* site : {"dtas.evaluate.plan", "base.thread_pool.task"}) {
+    SCOPED_TRACE(site);
+    dtas::Synthesizer synth(cells::lsi_library(), opt);
+    FaultInjector::global().arm_site(site, 2);
+    EXPECT_THROW(synth.synthesize(spec), FaultInjected);
+    EXPECT_EQ(record_front(synth.synthesize(spec)), expect);
+  }
 }
 
 // --- ThreadPool exception-path regression --------------------------------

@@ -13,8 +13,9 @@
 //  - Retargeting a Synthesizer back to content-identical library state
 //    re-extracts nothing (extraction-cache misses stay flat) and
 //    reproduces the original front byte-for-byte.
-//  - Fronts, descriptions, and VHDL are byte-identical with delta-aware
-//    keys on vs off, across all three registry libraries and at thread
+//  - Fronts, descriptions, and VHDL from the content-keyed caches are
+//    byte-identical to the oracle's (reference evaluation, copy-per-design
+//    extraction), across all three registry libraries and at thread
 //    counts 1 and 8.
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 #include "dtas/synthesizer.h"
 #include "genus/spec.h"
 #include "liberty/liberty.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -70,7 +72,7 @@ void expect_identical(const std::vector<dtas::AlternativeDesign>& a,
   EXPECT_EQ(vhdl_of(a), vhdl_of(b)) << context << " (emitted VHDL)";
 }
 
-// --- spec / cell fingerprints ----------------------------------------------
+// --- spec / cell fingerprints ---------------------------------------------
 
 TEST(SpecFingerprint, StableAndFieldSensitive) {
   const ComponentSpec a8 = genus::make_adder_spec(8);
@@ -110,7 +112,7 @@ TEST(CellFingerprint, CoversNameSpecAndTiming) {
       << "descriptions are documentation, not content";
 }
 
-// --- library fingerprints ---------------------------------------------------
+// --- library fingerprints -------------------------------------------------
 
 TEST(LibraryFingerprint, OrderAndNameIndependent) {
   const CellLibrary& lsi = cells::lsi_library();
@@ -191,7 +193,7 @@ TEST(LibraryFingerprint, DistinctAcrossRegistryLibraries) {
   EXPECT_NE(fps[1], fps[2]);
 }
 
-// --- registry replace -------------------------------------------------------
+// --- registry replace -----------------------------------------------------
 
 TEST(RegistryReplace, RepointsNameKeepsOldReferencesAlive) {
   auto reg = cells::LibraryRegistry::with_builtins();
@@ -226,7 +228,7 @@ TEST(RegistryReplace, RepointsNameKeepsOldReferencesAlive) {
   EXPECT_NE(v2.fingerprint(), original_fp);
 }
 
-// --- template-cache soundness ----------------------------------------------
+// --- template-cache soundness ---------------------------------------------
 
 /// Two same-named LambdaRules whose expansions differ. Before
 /// fingerprint-keyed templates, the process-wide cache keyed on
@@ -321,7 +323,7 @@ TEST(TemplateCacheSoundness, ExplicitFingerprintOptsIntoSharing) {
       << "0 is reserved for rules pure in (name, spec)";
 }
 
-// --- retarget warm reuse ----------------------------------------------------
+// --- retarget warm reuse --------------------------------------------------
 
 TEST(Retarget, ContentIdenticalReturnIsExtractionWarm) {
   const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
@@ -355,45 +357,25 @@ TEST(Retarget, ContentIdenticalReturnIsExtractionWarm) {
   }
 }
 
-TEST(Retarget, PointerKeysStayColdAcrossRetarget) {
-  dtas::SpaceOptions opt;
-  opt.delta_cache_keys = false;  // the historical reference mode
-  const ComponentSpec add = genus::make_adder_spec(16);
-  dtas::Synthesizer synth(cells::lsi_library(), opt);
-  const auto first = synth.synthesize(add);
-  ASSERT_FALSE(first.empty());
-  synth.retarget(cells::lsi_library());
-  const dtas::ExtractionCache::Stats before =
-      synth.extraction_cache().stats();
-  const auto again = synth.synthesize(add);
-  const dtas::ExtractionCache::Stats after = synth.extraction_cache().stats();
-  expect_identical(again, first, "pointer-keyed retarget front");
-  EXPECT_GT(after.misses, before.misses)
-      << "pointer keys die with the old space, so this must re-materialize";
-}
+// --- content keys against the oracle --------------------------------------
 
-// --- delta keys on/off byte-identity ----------------------------------------
-
-TEST(DeltaKeys, OnOffByteIdenticalAcrossLibrariesAndThreads) {
+TEST(DeltaKeys, ContentKeyedFrontsMatchOracleAcrossLibrariesAndThreads) {
   const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
   for (const CellLibrary* lib : registry().all()) {
-    std::vector<dtas::AlternativeDesign> reference;
     for (const int threads : {1, 8}) {
-      for (const bool delta : {true, false}) {
-        dtas::SpaceOptions opt;
-        opt.threads = threads;
-        opt.delta_cache_keys = delta;
-        dtas::Synthesizer synth(*lib, opt);
-        auto front = synth.synthesize(alu);
-        const std::string context = lib->name() + " threads=" +
-                                    std::to_string(threads) + " delta=" +
-                                    std::to_string(delta);
-        if (reference.empty() && !front.empty()) {
-          reference = std::move(front);
-          continue;
-        }
-        expect_identical(front, reference, context);
-      }
+      dtas::SpaceOptions opt;
+      opt.threads = threads;
+      dtas::Synthesizer synth(*lib, opt);
+      const auto front = synth.synthesize(alu);
+
+      dtas::Synthesizer ref(*lib, opt);
+      dtas::SpecNode* node = ref.space().expand(alu);
+      oracle::reference_evaluate(ref.space(), node);
+      const auto expected =
+          oracle::extract_copies(ref.extraction_cache(), node);
+      ASSERT_FALSE(expected.empty()) << lib->name();
+      expect_identical(front, expected,
+                       lib->name() + " threads=" + std::to_string(threads));
     }
   }
 }

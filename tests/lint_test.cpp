@@ -26,6 +26,7 @@
 #include "lint/lint.h"
 #include "lola/lola.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 #include "vhdl/vhdl.h"
 
 namespace bridge {
@@ -459,13 +460,16 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
   const Module datapath = make_datapath(8);
 
   struct Config {
-    bool caches;
+    bool caches;  // false: the oracle (uncached rules, copy extraction)
     int threads;
     bool verify;
   };
   // The verify=false run is the byte-identity reference; every other
-  // config runs with post-extraction verification on (the throw path),
-  // covering cache toggles and thread counts.
+  // production config runs with post-extraction verification on (the
+  // throw path), covering thread counts. The caches-off configs build
+  // their fronts through bridge_oracle — uncached expansion, then
+  // copy-per-design extraction (the netlist on the reference sweep) —
+  // and every one of their designs is linted below.
   const std::vector<Config> configs = {
       {true, 1, false},  // reference
       {true, 1, true},  {false, 1, true},
@@ -477,18 +481,28 @@ TEST(LintSweep, FrontsLintCleanAcrossTogglesAndThreads) {
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {
       const Config& cfg = configs[ci];
       dtas::SpaceOptions opt;
-      opt.use_template_cache = cfg.caches;
-      opt.use_extraction_cache = cfg.caches;
-      opt.delta_cache_keys = cfg.caches;
       opt.threads = cfg.threads;
       opt.verify_designs = cfg.verify;
-      dtas::Synthesizer synth(*lib, opt);
+      dtas::RuleBase rules = dtas::default_rules_for(*lib);
+      dtas::Synthesizer synth(cfg.caches
+                                  ? std::move(rules)
+                                  : oracle::uncached_rules(std::move(rules)),
+                              *lib, opt);
 
       std::vector<std::vector<dtas::AlternativeDesign>> fronts;
       for (const genus::ComponentSpec& spec : specs) {
-        fronts.push_back(synth.synthesize(spec));
+        if (cfg.caches) {
+          fronts.push_back(synth.synthesize(spec));
+          continue;
+        }
+        dtas::SpecNode* node = synth.space().expand(spec);
+        synth.space().evaluate(node);
+        fronts.push_back(
+            oracle::extract_copies(synth.extraction_cache(), node));
       }
-      fronts.push_back(synth.synthesize_netlist(datapath));
+      fronts.push_back(
+          cfg.caches ? synth.synthesize_netlist(datapath)
+                     : oracle::reference_synthesize_netlist(synth, datapath));
 
       for (std::size_t k = 0; k < fronts.size(); ++k) {
         const std::string context = lib->name() + " case " +

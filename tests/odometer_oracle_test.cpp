@@ -86,7 +86,7 @@ std::vector<Config> configs() {
 }
 
 bool prunes(const dtas::SpaceOptions& o) {
-  return o.bound_prune && o.filter != dtas::FilterKind::kNone;
+  return o.filter != dtas::FilterKind::kNone;
 }
 
 dtas::SpaceOptions with_threads(dtas::SpaceOptions o, int threads) {

@@ -17,17 +17,23 @@
 // threshold. Under -fsanitize=thread this file is the primary race
 // exercise for the pool, the bound exchange, and the shard merge.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
+#include "base/diag.h"
 #include "base/thread_pool.h"
 #include "cells/registry.h"
 #include "datapaths.h"
 #include "dtas/synthesizer.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 
 namespace bridge {
 namespace {
@@ -118,12 +124,10 @@ TEST(ParallelEvaluation, MatchesReferenceEvaluatorAtEightThreads) {
   // Ties the parallel compiled evaluator all the way back to the original
   // functional evaluator in one step.
   const netlist::Module input = testutil::make_datapath8();
-  dtas::SpaceOptions reference = sweep_options(1);
-  reference.use_compiled_plan = false;
-  reference.bound_prune = false;
   dtas::Synthesizer a(cells::lsi_library(), sweep_options(8));
-  dtas::Synthesizer b(cells::lsi_library(), reference);
-  expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
+  dtas::Synthesizer b(cells::lsi_library(), sweep_options(1));
+  expect_identical(a.synthesize_netlist(input),
+                   oracle::reference_synthesize_netlist(b, input),
                    "8-thread compiled vs serial reference");
 }
 
@@ -155,61 +159,6 @@ TEST(ParallelEvaluation, SerialAtOneThreadNeverCreatesAPool) {
   synth.synthesize_netlist(testutil::make_datapath8());
   EXPECT_EQ(synth.space().stats().parallel_odometers, 0);
   EXPECT_EQ(synth.space().stats().odometer_shards, 0);
-}
-
-TEST(ParallelEvaluation, NodeParallelEngagesAndMatchesSerial) {
-  // The antichain fan-out (SpaceOptions::node_parallel) is the second
-  // parallel axis: independent SpecNodes of one expansion DAG evaluated
-  // as pool batches. Contract: it actually engages on a real workload at
-  // threads > 1, and the front is bit-identical to both the serial run
-  // and the odometer-only parallel run.
-  const ComponentSpec alu = genus::make_alu_spec(16, genus::alu16_ops());
-  for (const cells::CellLibrary* lib : registry().all()) {
-    dtas::Synthesizer serial(*lib, sweep_options(1));
-    const Front base = serial.synthesize(alu);
-    EXPECT_EQ(serial.space().stats().node_parallel_nodes, 0)
-        << lib->name() << ": serial must never take the node-parallel path";
-
-    dtas::Synthesizer node_par(*lib, sweep_options(8));
-    expect_identical(node_par.synthesize(alu), base,
-                     lib->name() + " node-parallel vs serial");
-    EXPECT_GT(node_par.space().stats().node_parallel_nodes, 0)
-        << lib->name() << ": a 16-bit ALU expansion has multi-node "
-                          "antichains, so the fan-out must engage";
-    EXPECT_GT(node_par.space().stats().node_parallel_levels, 0)
-        << lib->name();
-
-    dtas::SpaceOptions odometer_only = sweep_options(8);
-    odometer_only.node_parallel = false;
-    dtas::Synthesizer no_fanout(*lib, odometer_only);
-    expect_identical(no_fanout.synthesize(alu), base,
-                     lib->name() + " node_parallel off vs serial");
-    EXPECT_EQ(no_fanout.space().stats().node_parallel_nodes, 0)
-        << lib->name() << ": the toggle must fully disable the fan-out";
-  }
-}
-
-TEST(ParallelEvaluation, NodeParallelNetlistFrontsIdentical) {
-  // Whole-netlist synthesis drives evaluate() once per instance spec;
-  // each entry levelizes and fans out independently. Same bit-identity
-  // bar as the spec-level test, plus the enumeration accounting
-  // invariant: the evaluated+pruned sum is thread-count independent.
-  const netlist::Module input = testutil::make_datapath8();
-  dtas::Synthesizer serial(cells::lsi_library(), sweep_options(1));
-  const Front base = serial.synthesize_netlist(input);
-  const dtas::SpaceStats& serial_stats = serial.space().stats();
-  for (int threads : {2, 8}) {
-    dtas::Synthesizer parallel(cells::lsi_library(), sweep_options(threads));
-    expect_identical(parallel.synthesize_netlist(input), base,
-                     "node-parallel netlist threads " +
-                         std::to_string(threads));
-    const dtas::SpaceStats& stats = parallel.space().stats();
-    EXPECT_GT(stats.node_parallel_nodes, 0) << "threads " << threads;
-    EXPECT_EQ(stats.combinations_evaluated + stats.combinations_pruned,
-              serial_stats.combinations_evaluated +
-                  serial_stats.combinations_pruned)
-        << "threads " << threads;
-  }
 }
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnceAcrossReuse) {
@@ -263,54 +212,34 @@ TEST(ThreadPool, SlotIdsStayInRangeAndExceptionsPropagate) {
   EXPECT_EQ(after.load(), 5);
 }
 
-TEST(ThreadPool, NestedRunOnSamePoolExecutesInline) {
-  // Node-parallel evaluation nests odometer sharding inside antichain
-  // batches on one pool; the contract (thread_pool.h) is that a task
-  // calling run() on its own pool executes the nested batch inline —
-  // every task still runs, no deadlock even when the outer batch
-  // saturates all workers.
+TEST(ThreadPool, NestedRunOnSamePoolThrowsAndPoolStaysUsable) {
+  // A same-pool nested fork-join could deadlock (the outer batch keeps
+  // every worker busy), so the contract (thread_pool.h) is that it throws
+  // instead: each nested call fails without running anything, the outer
+  // batch drains and rethrows, and the pool keeps fork-joining normally.
   base::ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  std::atomic<bool> inner_slot_bad{false};
-  const int kOuter = 8;   // > workers+1: every thread carries outer tasks
-  const int kInner = 13;
-  pool.run(kOuter, [&](int) {
-    pool.run(kInner, [&](int, int slot) {
-      // Inline execution reports the caller slot as 0.
-      if (slot != 0) inner_slot_bad.store(true);
-      inner_total.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(inner_total.load(), kOuter * kInner);
-  EXPECT_FALSE(inner_slot_bad.load());
-  // The pool survives nesting and still fork-joins normally.
+  std::atomic<int> outer_ran{0};
+  std::atomic<int> inner_ran{0};
+  const int kOuter = 8;  // > workers+1: every thread carries outer tasks
+  EXPECT_THROW(pool.run(kOuter,
+                        [&](int) {
+                          outer_ran.fetch_add(1);
+                          pool.run(13, [&](int) { inner_ran.fetch_add(1); });
+                        }),
+               Error);
+  EXPECT_EQ(outer_ran.load(), kOuter);
+  EXPECT_EQ(inner_ran.load(), 0);
   std::atomic<int> after{0};
   pool.run(5, [&](int) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 5);
 }
 
-TEST(ThreadPool, NestedRunPropagatesExceptionsAndCrossPoolNestingParks) {
+TEST(ThreadPool, CrossPoolNestingParks) {
+  // A task on pool A doing a fork-join on pool B gets B's real
+  // parallelism, and both pools stay usable afterwards (one outer task:
+  // run() is single-entry per pool, so only one task may drive `other`
+  // at a time).
   base::ThreadPool pool(2);
-  // Inline nested run: an exception aborts the nested batch immediately
-  // and propagates out through the outer run()'s late rethrow.
-  std::atomic<int> nested_ran{0};
-  EXPECT_THROW(
-      pool.run(4,
-               [&](int) {
-                 pool.run(6, [&](int task) {
-                   nested_ran.fetch_add(1);
-                   if (task == 2) throw std::runtime_error("nested boom");
-                 });
-               }),
-      std::runtime_error);
-  // Each outer task's nested batch stopped at its throwing task (3 of 6).
-  EXPECT_EQ(nested_ran.load() % 3, 0);
-  EXPECT_GE(nested_ran.load(), 3);
-  // Cross-pool nesting is not the inline path: a task on pool A doing a
-  // fork-join on pool B gets B's real parallelism, and both pools stay
-  // usable afterwards.
-  // (one outer task: run() is single-entry per pool, so only one task may
-  // drive `other` at a time)
   base::ThreadPool other(2);
   std::atomic<int> cross{0};
   pool.run(1, [&](int) {
@@ -321,6 +250,44 @@ TEST(ThreadPool, NestedRunPropagatesExceptionsAndCrossPoolNestingParks) {
   pool.run(4, [&](int) { check.fetch_add(1); });
   other.run(4, [&](int) { check.fetch_add(1); });
   EXPECT_EQ(check.load(), 8);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BRIDGE_TEST_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define BRIDGE_TEST_UNDER_SANITIZER 1
+#endif
+#endif
+
+/// Death-test child: under an address-space limit that fits a few worker
+/// stacks but not thousands, thread creation fails partway. Exits 0 when
+/// the pool rethrows std::system_error; before the fix the unwind
+/// destroyed joinable std::threads and the process aborted.
+[[noreturn]] void construct_pool_under_address_limit() {
+  std::size_t pages = 0;  // virtual memory in use, from /proc
+  std::ifstream("/proc/self/statm") >> pages;
+  if (pages == 0) std::_Exit(2);
+  const rlim_t cap = pages * 4096 + (64u << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  try {
+    base::ThreadPool pool(4096);
+  } catch (const std::system_error&) {
+    std::_Exit(0);
+  }
+  std::_Exit(4);  // every thread started: the limit did not bind
+}
+
+TEST(ThreadPoolDeathTest, FailedThreadCreationJoinsStartedWorkersAndThrows) {
+#ifdef BRIDGE_TEST_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizer runtimes reserve address space RLIMIT_AS "
+                  "cannot accommodate";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(construct_pool_under_address_limit(),
+              ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace

@@ -208,6 +208,39 @@ TEST_F(ServerTest, OversizedFrameIsRejectedWithoutWedging) {
   EXPECT_TRUE(synthesize_over_wire(port(), req).ok());
 }
 
+TEST_F(ServerTest, OutOfRangeThreadsIsAnErrorAndConnectionServesNext) {
+  // A request asking for more odometer threads than the process can
+  // create used to abort the daemon; now it is an error response naming
+  // the field, and the same connection serves its next request.
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(8);
+  Json bad = req.encode();
+  bad.set("method", "synthesize");
+  Json options = *bad.find("options");
+  options.set("threads", 2000);
+  bad.set("options", std::move(options));
+
+  const int fd = server::connect_tcp(port());
+  server::write_frame(fd, bad.dump());
+  std::string payload;
+  ASSERT_TRUE(server::read_frame(fd, payload));
+  const api::SynthesisResult rejected =
+      api::SynthesisResult::from_json(payload);
+  EXPECT_EQ(rejected.status, "error");
+  EXPECT_NE(rejected.error.find("threads"), std::string::npos)
+      << rejected.error;
+
+  server::write_frame(fd, synthesize_frame(req));
+  ASSERT_TRUE(server::read_frame(fd, payload));
+  const api::SynthesisResult served = api::SynthesisResult::from_json(payload);
+  server::close_socket(fd);
+  ASSERT_TRUE(served.ok()) << served.error;
+  dtas::Synthesizer direct(cells::lsi_library());
+  EXPECT_TRUE(api::front_matches(served, direct.synthesize(*req.spec),
+                                 /*with_vhdl=*/false));
+}
+
 TEST_F(ServerTest, DeadlineRequestAnsweredBestEffortOrRejectedCleanly) {
   api::SynthesisRequest req;
   req.library = cells::lsi_library().name();

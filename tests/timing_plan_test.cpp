@@ -1,18 +1,20 @@
 // Compiled-evaluator equivalence and bound-and-prune invariance.
 //
-// The TimingPlan evaluator (SpaceOptions::use_compiled_plan, the default)
-// must reproduce the reference functional evaluator bit-for-bit: same
-// alternative count, exactly equal metric doubles, same descriptions —
-// across every component family DTAS synthesizes and across all three
-// registry libraries (the LSI and TTL built-ins plus the bundled Liberty
-// import). Bound-and-prune must never change the filtered front under any
-// dominance-respecting filter, and must stay off under FilterKind::kNone.
+// The TimingPlan evaluator must reproduce the reference functional
+// evaluator (oracle::reference_evaluate, serial and never pruning)
+// bit-for-bit: same alternative count, exactly equal metric doubles, same
+// descriptions — across every component family DTAS synthesizes and
+// across all three registry libraries (the LSI and TTL built-ins plus the
+// bundled Liberty import). Bound-and-prune must never change the filtered
+// front under any dominance-respecting filter, and must stay off under
+// FilterKind::kNone.
 #include <gtest/gtest.h>
 
 #include "cells/registry.h"
 #include "dtas/synthesizer.h"
 #include "liberty/liberty.h"
 #include "netlist/netlist.h"
+#include "oracle/oracle.h"
 
 namespace bridge {
 namespace {
@@ -82,6 +84,15 @@ Front synthesize_with(const cells::CellLibrary& lib,
   return front;
 }
 
+/// The same synthesis on the reference evaluator; `combinations`
+/// receives how many combinations it enumerated.
+Front reference_with(const cells::CellLibrary& lib, const ComponentSpec& spec,
+                     const dtas::SpaceOptions& opt,
+                     long* combinations = nullptr) {
+  dtas::Synthesizer synth(lib, opt);
+  return oracle::reference_synthesize(synth, spec, combinations);
+}
+
 /// Bit-for-bit front equality: exact double comparison on both metric
 /// axes plus the human-readable implementation trace.
 void expect_identical(const Front& a, const Front& b,
@@ -100,12 +111,9 @@ TEST(TimingPlanEquivalence, MatchesReferenceEvaluatorAcrossLibraries) {
   ASSERT_EQ(registry().size(), 3);
   for (const cells::CellLibrary* lib : registry().all()) {
     for (const auto& [label, spec] : test_specs()) {
-      dtas::SpaceOptions compiled;  // defaults: plan + prune
-      dtas::SpaceOptions reference;
-      reference.use_compiled_plan = false;
-      reference.bound_prune = false;
-      const Front a = synthesize_with(*lib, spec, compiled);
-      const Front b = synthesize_with(*lib, spec, reference);
+      const dtas::SpaceOptions defaults;  // compiled plan + prune
+      const Front a = synthesize_with(*lib, spec, defaults);
+      const Front b = reference_with(*lib, spec, defaults);
       expect_identical(a, b, lib->name() + "/" + label);
     }
   }
@@ -117,24 +125,19 @@ TEST(TimingPlanEquivalence, DenseSweepMatchesReference) {
   for (const cells::CellLibrary* lib : registry().all()) {
     dtas::SpaceOptions compiled;
     compiled.min_delay_gain = 0.0;
-    dtas::SpaceOptions reference = compiled;
-    reference.use_compiled_plan = false;
-    reference.bound_prune = false;
     const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
     expect_identical(synthesize_with(*lib, spec, compiled),
-                     synthesize_with(*lib, spec, reference),
+                     reference_with(*lib, spec, compiled),
                      lib->name() + "/Alu16Sweep");
   }
 }
 
 TEST(PruneInvariance, PruningNeverChangesTheFront) {
   for (const auto& [label, spec] : test_specs()) {
-    dtas::SpaceOptions pruned;  // default: prune on
-    dtas::SpaceOptions unpruned;
-    unpruned.bound_prune = false;
+    const dtas::SpaceOptions pruned;  // default: prune on
     expect_identical(
         synthesize_with(cells::lsi_library(), spec, pruned),
-        synthesize_with(cells::lsi_library(), spec, unpruned), label);
+        reference_with(cells::lsi_library(), spec, pruned), label);
   }
 }
 
@@ -146,12 +149,10 @@ TEST(PruneInvariance, HoldsUnderEveryFilterKind) {
     dtas::SpaceOptions pruned;
     pruned.filter = filter;
     pruned.min_delay_gain = 0.0;
-    dtas::SpaceOptions unpruned = pruned;
-    unpruned.bound_prune = false;
     dtas::SpaceStats pruned_stats;
     expect_identical(
         synthesize_with(cells::lsi_library(), spec, pruned, &pruned_stats),
-        synthesize_with(cells::lsi_library(), spec, unpruned),
+        reference_with(cells::lsi_library(), spec, pruned),
         "filter " + std::to_string(static_cast<int>(filter)));
     if (filter == dtas::FilterKind::kNone) {
       // kNone keeps dominated candidates, so pruning must not engage.
@@ -161,18 +162,16 @@ TEST(PruneInvariance, HoldsUnderEveryFilterKind) {
 }
 
 TEST(PruneInvariance, StatsAccountForEveryCombination) {
-  dtas::SpaceOptions pruned;
-  dtas::SpaceOptions unpruned;
-  unpruned.bound_prune = false;
-  dtas::SpaceStats with_prune, without_prune;
+  const dtas::SpaceOptions pruned;
+  dtas::SpaceStats with_prune;
+  long enumerated = 0;
   const ComponentSpec spec = genus::make_alu_spec(16, genus::alu16_ops());
   synthesize_with(cells::lsi_library(), spec, pruned, &with_prune);
-  synthesize_with(cells::lsi_library(), spec, unpruned, &without_prune);
+  reference_with(cells::lsi_library(), spec, pruned, &enumerated);
   EXPECT_GT(with_prune.combinations_pruned, 0);
-  EXPECT_EQ(without_prune.combinations_pruned, 0);
   // Pruned or not, the odometer enumerates the same combinations.
   EXPECT_EQ(with_prune.combinations_evaluated + with_prune.combinations_pruned,
-            without_prune.combinations_evaluated);
+            enumerated);
 }
 
 netlist::Module make_test_datapath() {
@@ -229,12 +228,10 @@ TEST(TimingPlanEquivalence, NetlistSynthesisMatchesReference) {
   for (double gain : {0.10, 0.0}) {
     dtas::SpaceOptions compiled;
     compiled.min_delay_gain = gain;
-    dtas::SpaceOptions reference = compiled;
-    reference.use_compiled_plan = false;
-    reference.bound_prune = false;
     dtas::Synthesizer a(cells::lsi_library(), compiled);
-    dtas::Synthesizer b(cells::lsi_library(), reference);
-    expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
+    dtas::Synthesizer b(cells::lsi_library(), compiled);
+    expect_identical(a.synthesize_netlist(input),
+                     oracle::reference_synthesize_netlist(b, input),
                      "datapath gain " + std::to_string(gain));
   }
 }
@@ -243,13 +240,16 @@ TEST(TimingPlanEquivalence, NetlistPruningNeverChangesTheFront) {
   const netlist::Module input = make_test_datapath();
   dtas::SpaceOptions pruned;
   pruned.min_delay_gain = 0.0;
-  dtas::SpaceOptions unpruned = pruned;
-  unpruned.bound_prune = false;
   dtas::Synthesizer a(cells::lsi_library(), pruned);
-  dtas::Synthesizer b(cells::lsi_library(), unpruned);
-  expect_identical(a.synthesize_netlist(input), b.synthesize_netlist(input),
+  dtas::Synthesizer b(cells::lsi_library(), pruned);
+  long enumerated = 0;
+  expect_identical(a.synthesize_netlist(input),
+                   oracle::reference_synthesize_netlist(b, input, &enumerated),
                    "datapath prune invariance");
-  EXPECT_GT(a.space().stats().combinations_pruned, 0);
+  const dtas::SpaceStats& stats = a.space().stats();
+  EXPECT_GT(stats.combinations_pruned, 0);
+  EXPECT_EQ(stats.combinations_evaluated + stats.combinations_pruned,
+            enumerated);
 }
 
 TEST(ParetoFront, StaircaseSemantics) {

@@ -63,18 +63,6 @@ RETARGET_GATED = {
     "retarget_warm/sample_sky130_subset": 2.0,
 }
 
-# Node-parallel evaluation (fig3_alu64/node_parallel): antichain fan-out
-# across independent SpecNodes. Engagement (the fan-out really ran) and
-# front identity across thread counts gate unconditionally — both are
-# machine-independent. The scaling floor applies only on runners with
-# >= 4 cores: the dense-sweep evaluate phase at 8 threads must beat 1
-# thread (>= 1.05x) — a modest bar, because the phase is sub-millisecond
-# and fork-join overhead is real, but one a serial fallback or a hot
-# lock cannot clear. On 1-2 core runners (like the container that wrote
-# the committed baseline) the speedup is reported, not gated.
-NODE_PARALLEL_ENTRY = "fig3_alu64/node_parallel"
-NODE_PARALLEL_SCALING_FLOOR = 1.05
-
 # Cache-effectiveness floors: absolute, within-run, machine-independent.
 # Hit rates and prune ratios are structural properties of the search (how
 # often the warm caches answer, how much of the odometer the front
@@ -189,38 +177,6 @@ def check_retarget(fresh, failures):
         if e.get("fronts_identical", 0) != 1:
             failures.append(f"{name}: warm retarget front differs from the "
                             "cold visit")
-
-
-def check_node_parallel(fresh, failures):
-    """Gate the antichain fan-out: engagement and front identity always,
-    the scaling floor only where there are cores to scale onto."""
-    e = fresh.get(NODE_PARALLEL_ENTRY)
-    if e is None:
-        failures.append(f"{NODE_PARALLEL_ENTRY}: gated entry missing from "
-                        "fresh run")
-        return
-    if e.get("node_parallel_nodes_t8", 0) < 1:
-        failures.append(
-            f"{NODE_PARALLEL_ENTRY}: the node-parallel fan-out never "
-            "engaged (node_parallel_nodes_t8 = 0) — evaluate fell back "
-            "to the serial recursion")
-    if e.get("fronts_identical") != "yes":
-        failures.append(f"{NODE_PARALLEL_ENTRY}: fronts not byte-identical "
-                        "across thread counts")
-    cores = int(e.get("hardware_concurrency", 0))
-    speedup = e.get("speedup_t8_vs_t1", 0.0)
-    if cores >= 4:
-        if speedup < NODE_PARALLEL_SCALING_FLOOR:
-            failures.append(
-                f"{NODE_PARALLEL_ENTRY}: 8-thread evaluate speedup "
-                f"{speedup:.2f}x below the "
-                f"{NODE_PARALLEL_SCALING_FLOOR:.2f}x floor on {cores} cores")
-        else:
-            print(f"{NODE_PARALLEL_ENTRY}: evaluate {speedup:.2f}x at 8 "
-                  f"threads on {cores} cores ok")
-    else:
-        print(f"{NODE_PARALLEL_ENTRY}: evaluate {speedup:.2f}x at 8 "
-              f"threads ({cores} cores — scaling floor not applied)")
 
 
 def check_effectiveness(fresh, failures):
@@ -350,7 +306,6 @@ def main():
 
     check_parallel_health(fresh, failures)
     check_retarget(fresh, failures)
-    check_node_parallel(fresh, failures)
     check_effectiveness(fresh, failures)
     check_lint_phase(fresh, failures)
     if args.server:

@@ -1,5 +1,6 @@
 #include "api/api.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -521,33 +522,49 @@ SynthesisResult run_request(const SynthesisRequest& req,
     res.stats.extraction_cache_hits = ex_after.hits - ex_before.hits;
     res.stats.extraction_cache_misses = ex_after.misses - ex_before.misses;
 
-    vhdl::EmissionCache emission;
+    // The request-side stages join the session's phases in the profile.
+    obs::Profile profile;
+    if (req.options.include_profile) profile = session.last_profile();
+    const auto timed = [&profile](const char* phase, auto&& stage) {
+      const auto start = std::chrono::steady_clock::now();
+      stage();
+      profile.add_phase(phase, std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
+    };
+
     res.alternatives.reserve(alts.size());
     for (const dtas::AlternativeDesign& alt : alts) {
       ResultAlternative a;
       a.area = alt.metric.area;
       a.delay = alt.metric.delay;
       a.description = alt.description;
-      if (req.options.emit_vhdl) {
-        a.vhdl = vhdl::emit_structural(*alt.design, emission);
-      }
       res.alternatives.push_back(std::move(a));
     }
+    if (req.options.emit_vhdl) {
+      // Through the session's memo: a warm session renders each shared
+      // module once, not once per request.
+      timed("emit", [&] {
+        for (std::size_t i = 0; i < alts.size(); ++i) {
+          res.alternatives[i].vhdl = vhdl::emit_structural(
+              *alts[i].design, session.emission_cache());
+        }
+      });
+    }
     if (req.options.verify) {
-      // One cache across the front: the alternatives share almost every
-      // module, so each distinct module is linted once per request.
-      lint::Cache lint_cache;
-      for (const dtas::AlternativeDesign& alt : alts) {
-        std::vector<lint::Diagnostic> diags =
-            lint::lint_design(*alt.design, lint_cache);
-        res.diagnostics.insert(res.diagnostics.end(),
-                               std::make_move_iterator(diags.begin()),
-                               std::make_move_iterator(diags.end()));
-      }
+      timed("verify", [&] {
+        for (const dtas::AlternativeDesign& alt : alts) {
+          std::vector<lint::Diagnostic> diags =
+              lint::lint_design(*alt.design, session.lint_cache());
+          res.diagnostics.insert(res.diagnostics.end(),
+                                 std::make_move_iterator(diags.begin()),
+                                 std::make_move_iterator(diags.end()));
+        }
+      });
     }
     if (req.options.include_profile) {
       res.has_profile = true;
-      res.profile = session.last_profile();
+      res.profile = std::move(profile);
     }
   } catch (const Cancelled& e) {
     return SynthesisResult::make_error("cancelled", e.what());

@@ -190,7 +190,9 @@ std::unique_ptr<dtas::Synthesizer> make_session(
 /// built with the same space-shaping options (see
 /// RequestOptions::fingerprint); the per-request deadline policy is
 /// re-armed here, so one warm session serves many requests with
-/// different budgets. Never throws: cancellation and failures come back
+/// different budgets. VHDL and `verify` go through the session's
+/// emission and lint memos, so a warm session renders and lints each
+/// shared module once. Never throws: cancellation and failures come back
 /// as status "cancelled" / "error" results.
 SynthesisResult run_request(const SynthesisRequest& req,
                             dtas::Synthesizer& session);

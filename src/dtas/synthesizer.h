@@ -20,6 +20,7 @@
 #include "dtas/design_space.h"
 #include "lint/lint.h"
 #include "obs/profile.h"
+#include "vhdl/vhdl.h"
 
 namespace bridge::dtas {
 
@@ -221,6 +222,13 @@ class Synthesizer {
   ExtractionCache& extraction_cache() { return extract_cache_; }
   const ExtractionCache& extraction_cache() const { return extract_cache_; }
 
+  /// The session-wide lint and VHDL memos over the extraction cache's
+  /// shared modules. api::run_request verifies and emits through them, so
+  /// a warm session lints and renders each shared module once, not once
+  /// per request. Both survive retarget like the extraction cache.
+  lint::Cache& lint_cache() { return lint_cache_; }
+  vhdl::EmissionCache& emission_cache() { return emission_cache_; }
+
   /// Structured breakdown of the most recent synthesize /
   /// synthesize_netlist call: wall time per phase (expand / evaluate /
   /// extract) plus this-call deltas of the space and cache counters.
@@ -235,12 +243,16 @@ class Synthesizer {
   /// assignable); engaged for the Synthesizer's whole life otherwise.
   std::optional<DesignSpace> space_;
   ExtractionCache extract_cache_;
-  /// Session memo for SpaceOptions::verify_designs: shared extraction
-  /// modules are linted once per session, not once per design per call.
+  /// Session memo for SpaceOptions::verify_designs and run_request's
+  /// `verify`: shared extraction modules are linted once per session, not
+  /// once per design per call.
   /// Entries track their module weakly, so verdicts never dangle and
   /// extraction-cache eviction is never blocked — see lint::Cache.
   /// Survives retarget like the extraction cache.
   lint::Cache lint_cache_;
+  /// Session memo of shared-module VHDL text, under the same weak-handle
+  /// rule (see vhdl::EmissionCache). Survives retarget likewise.
+  vhdl::EmissionCache emission_cache_;
   obs::Profile profile_;
 };
 

@@ -438,16 +438,7 @@ void fill_entry(Cache::Entry& e, const Module& m) {
 const Cache::Entry& Cache::module_entry(
     const netlist::Module& m,
     const std::shared_ptr<const netlist::Module>& owner) {
-  auto [it, inserted] = memo_.try_emplace(&m);
-  Entry& e = it->second;
-  // A hit is only a hit while the module the entry described is still
-  // alive — an expired token means the address was freed (and possibly
-  // recycled) since, so recompute in place.
-  if (!inserted && !e.alive.expired()) return e;
-  e = Entry{};
-  fill_entry(e, m);
-  e.alive = owner;
-  return e;
+  return memo_.get(m, owner, [&](Entry& e) { fill_entry(e, m); }).value;
 }
 
 std::vector<Diagnostic> lint_design(const Design& d) {
@@ -462,26 +453,20 @@ std::vector<Diagnostic> lint_design(const Design& d, Cache& cache) {
   // Shared modules are memoizable (the design hands us their co-owning
   // handles, which the cache tracks weakly); design-owned modules die
   // with the design, so their work is computed fresh into local storage.
-  std::unordered_map<const Module*, const std::shared_ptr<const Module>*>
-      owners;
-  owners.reserve(d.shared_modules().size());
-  for (const std::shared_ptr<const Module>& sp : d.shared_modules()) {
-    owners.emplace(sp.get(), &sp);
-  }
   std::vector<Cache::Entry> local;  // stable: reserved to worst case
   local.reserve(d.module_order().size());
   // Entry per module_order position, so the name-collision pass below
   // can reuse the memoized identities.
   std::vector<const Cache::Entry*> entries;
   entries.reserve(d.module_order().size());
-  for (const Module* m : d.module_order()) {
+  d.for_each_module([&](const Module& m,
+                        const std::shared_ptr<const Module>* owner) {
     const Cache::Entry* ep;
-    auto owner = owners.find(m);
-    if (owner != owners.end()) {
-      ep = &cache.module_entry(*m, *owner->second);
+    if (owner != nullptr) {
+      ep = &cache.module_entry(m, *owner);
     } else {
       local.emplace_back();
-      fill_entry(local.back(), *m);
+      fill_entry(local.back(), m);
       ep = &local.back();
     }
     const Cache::Entry& e = *ep;
@@ -489,12 +474,12 @@ std::vector<Diagnostic> lint_design(const Design& d, Cache& cache) {
     out.insert(out.end(), e.diags.begin(), e.diags.end());
     for (const auto& [inst, child] : e.refs) {
       if (members.count(child) == 0) {
-        emit(out, Severity::kError, "dangling-module-ref", *m, inst->name,
+        emit(out, Severity::kError, "dangling-module-ref", m, inst->name,
              "instance references module '" + child->name() +
                  "', which is not part of the design");
       }
     }
-  }
+  });
   // Module-name collisions across the design, against the memoized
   // emitted identities (check_name_collisions semantics: the diagnostic
   // lands on the second declaration and names the first).

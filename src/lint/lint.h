@@ -23,10 +23,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "base/weak_memo.h"
 #include "genus/spec.h"
 #include "netlist/netlist.h"
 
@@ -91,21 +91,18 @@ std::vector<Diagnostic> lint_design(const netlist::Design& d);
 /// dtas::ExtractionCache), or across a session of fronts.
 std::vector<Diagnostic> lint_design(const netlist::Design& d, Cache& cache);
 
-/// Memoizes the per-module linter passes by module address — the
-/// vhdl::EmissionCache pattern: the alternatives of a front (and the
-/// fronts of a warm session) share almost every module, and shared
-/// modules are immutable, so each distinct module is linted once per
-/// cache lifetime instead of once per design per verify pass. Entries
-/// hold a *weak* handle on their module (taken from the owner handle
-/// passed to module_entry — lint_design finds it in
-/// Design::shared_modules): a verdict is served only while the module
-/// is still alive, so it can never dangle onto a recycled address —
-/// if the module was freed (e.g. a byte-budgeted dtas::ExtractionCache
-/// evicted it and no design holds it), the expired handle turns the
-/// lookup into a miss and the entry is refilled in place. Holding weak
-/// handles also means this cache never blocks eviction. Design-*owned*
-/// modules have no owner handle and are deliberately not memoized by
-/// lint_design (their addresses die with the design).
+/// Memoizes the per-module linter passes by module address: the
+/// alternatives of a front (and the fronts of a warm session) share almost
+/// every module, and shared modules are immutable, so each distinct module
+/// is linted once per cache lifetime instead of once per design per
+/// verify pass. dtas::Synthesizer keeps one for its whole life (its
+/// verify_designs gate and api::run_request's `verify` both lint through
+/// it). Entries follow the base::WeakMemo rule: each holds a weak handle
+/// from Design::shared_modules, so a verdict never dangles onto a
+/// recycled address and never blocks extraction-cache eviction, and
+/// expired entries are swept out. Design-*owned* modules have no owner
+/// handle and are deliberately not memoized by lint_design (their
+/// addresses die with the design).
 class Cache {
  public:
   struct Entry {
@@ -115,10 +112,6 @@ class Cache {
     std::vector<std::pair<const netlist::Instance*, const netlist::Module*>>
         refs;
     std::string identity;  // emitted identity of the module name
-    /// Validity token: while this is non-expired, the module keyed at
-    /// &m is still the module this entry describes (a live shared_ptr
-    /// means nothing else can occupy the address).
-    std::weak_ptr<const netlist::Module> alive;
   };
 
   /// Memoized lint_module(m) plus the design-level inputs (module
@@ -127,11 +120,11 @@ class Cache {
   const Entry& module_entry(const netlist::Module& m,
                             const std::shared_ptr<const netlist::Module>& owner);
 
-  void clear() { memo_.clear(); }
+  /// Entries held, stale ones included.
   std::size_t size() const { return memo_.size(); }
 
  private:
-  std::unordered_map<const netlist::Module*, Entry> memo_;
+  base::WeakMemo<netlist::Module, Entry> memo_;
 };
 
 /// Rule-template checker, run over TemplateCache products

@@ -239,10 +239,26 @@ class Design {
   const std::vector<const Module*>& module_order() const { return order_; }
 
   /// The referenced (shared, immutable) modules and their co-owning
-  /// handles — what address-keyed memo layers (lint::Cache) track
+  /// handles — what address-keyed memo layers (base::WeakMemo) track
   /// weakly so their entries can never dangle onto a recycled address.
   const std::vector<std::shared_ptr<const Module>>& shared_modules() const {
     return shared_;
+  }
+
+  /// Calls f(module, owner) for every module in module_order() order.
+  /// `owner` is the module's co-owning handle from shared_modules(), or
+  /// nullptr for a module the design owns. One pass: shared_modules()
+  /// lists the referenced modules in the same registration order.
+  template <class F>
+  void for_each_module(F&& f) const {
+    std::size_t next = 0;
+    for (const Module* m : order_) {
+      const std::shared_ptr<const Module>* owner = nullptr;
+      if (next < shared_.size() && shared_[next].get() == m) {
+        owner = &shared_[next++];
+      }
+      f(*m, owner);
+    }
   }
 
   /// Count leaf (cell) instances recursively from `m`, following module

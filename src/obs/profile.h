@@ -18,12 +18,21 @@ namespace bridge::obs {
 
 struct Profile {
   std::string name;
-  /// (phase, wall milliseconds), in execution order.
+  /// (phase, wall milliseconds), in order of first execution.
   std::vector<std::pair<std::string, double>> phases_ms;
   /// (counter, this-request delta), in registration order.
   std::vector<std::pair<std::string, long>> counters;
 
+  /// Adds `ms` to `phase`, appending the phase when it is new: names stay
+  /// unique, so a stage that runs twice in one request (a verify gate in
+  /// synthesize, then the request's own verify) reads as one phase.
   void add_phase(std::string phase, double ms) {
+    for (auto& [name, total] : phases_ms) {
+      if (name == phase) {
+        total += ms;
+        return;
+      }
+    }
     phases_ms.emplace_back(std::move(phase), ms);
   }
   void add_counter(std::string counter, long delta) {

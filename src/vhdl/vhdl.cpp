@@ -7,6 +7,7 @@
 
 #include "base/diag.h"
 #include "base/strutil.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace bridge::vhdl {
@@ -147,18 +148,70 @@ void emit_module(std::ostringstream& os, const Module& m) {
   os << "end architecture structural;\n\n";
 }
 
+std::string render_module(const Module& m) {
+  std::ostringstream os;
+  emit_module(os, m);
+  return os.str();
+}
+
+/// Registry mirrors of the emission-cache stats. The bytes gauge
+/// aggregates across every live EmissionCache in the process (each adds
+/// its deltas and subtracts its residue on destruction), like the
+/// extraction-cache gauge.
+struct EmissionCacheMetrics {
+  obs::Counter& hits =
+      obs::Registry::global().counter("vhdl.emission_cache.hits");
+  obs::Counter& misses =
+      obs::Registry::global().counter("vhdl.emission_cache.misses");
+  obs::Gauge& bytes =
+      obs::Registry::global().gauge("vhdl.emission_cache.bytes");
+
+  static EmissionCacheMetrics& get() {
+    static EmissionCacheMetrics m;
+    return m;
+  }
+};
+
 }  // namespace
 
 std::string sanitize_identifier(const std::string& name) {
   return bridge::sanitize_identifier(name);
 }
 
-const std::string& EmissionCache::module_text(const Module& m) {
-  auto it = memo_.find(&m);
-  if (it != memo_.end()) return it->second;
-  std::ostringstream os;
-  emit_module(os, m);
-  return memo_.emplace(&m, os.str()).first->second;
+EmissionCache::~EmissionCache() {
+  if (published_.bytes != 0) {
+    EmissionCacheMetrics::get().bytes.add(-published_.bytes);
+  }
+}
+
+const std::string& EmissionCache::module_text(
+    const Module& m, const std::shared_ptr<const Module>& owner) {
+  const auto lookup = memo_.get(
+      m, owner,
+      [&](std::string& text) {
+        text = render_module(m);
+        stats_.bytes += static_cast<long>(text.size());
+      },
+      [&](const std::string& dropped) {
+        stats_.bytes -= static_cast<long>(dropped.size());
+      });
+  ++(lookup.hit ? stats_.hits : stats_.misses);
+  return lookup.value;
+}
+
+void EmissionCache::publish() {
+  // Zero deltas are skipped: a warm call then touches one shared atomic.
+  EmissionCacheMetrics& metrics = EmissionCacheMetrics::get();
+  if (stats_.hits != published_.hits) {
+    metrics.hits.add(stats_.hits - published_.hits);
+  }
+  if (stats_.misses != published_.misses) {
+    metrics.misses.add(stats_.misses - published_.misses);
+  }
+  if (stats_.bytes != published_.bytes) {
+    metrics.bytes.add(stats_.bytes - published_.bytes);
+  }
+  published_ = stats_;
 }
 
 std::string emit_structural(const Module& module) {
@@ -174,11 +227,26 @@ std::string emit_structural(const netlist::Design& design,
   obs::Span span("emit", "vhdl");
   std::string out = "-- structural VHDL for design '" + design.name() +
                     "'\nlibrary ieee;\nuse ieee.std_logic_1164.all;\n\n";
+  const auto append = [&](const Module& m,
+                          const std::shared_ptr<const Module>* owner) {
+    if (owner != nullptr) {
+      out += cache.module_text(m, *owner);
+    } else {
+      out += render_module(m);  // design-owned: dies with the design
+    }
+  };
   // Children first so every referenced entity precedes its use.
-  for (const Module* m : design.module_order()) {
-    if (m != design.top()) out += cache.module_text(*m);
-  }
-  if (design.top() != nullptr) out += cache.module_text(*design.top());
+  const std::shared_ptr<const Module>* top_owner = nullptr;
+  design.for_each_module(
+      [&](const Module& m, const std::shared_ptr<const Module>* owner) {
+        if (&m == design.top()) {
+          top_owner = owner;
+        } else {
+          append(m, owner);
+        }
+      });
+  if (design.top() != nullptr) append(*design.top(), top_owner);
+  cache.publish();
   return out;
 }
 

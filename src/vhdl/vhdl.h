@@ -7,30 +7,67 @@
 // simulatable VHDL behavioral models for the generated components".
 #pragma once
 
+#include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "base/weak_memo.h"
 #include "genus/component.h"
 #include "netlist/netlist.h"
 
 namespace bridge::vhdl {
 
-/// Memoizes the structural text of modules by address across emit calls.
+/// Memoizes the structural text of shared modules across emit calls.
 /// The alternative designs of one synthesis front share almost every
-/// module (see dtas::ExtractionCache), so emitting the front through one
-/// EmissionCache renders each distinct module once instead of once per
-/// design. Keyed by address: every module passed in must be immutable and
-/// must outlive the cache (shared extraction modules and front designs
-/// held alive by their AlternativeDesign both qualify).
+/// module (see dtas::ExtractionCache), and a warm session returns the same
+/// shared modules request after request, so emitting through one
+/// EmissionCache renders each distinct shared module once per session
+/// instead of once per design. dtas::Synthesizer keeps one for its whole
+/// life (api::run_request emits through it).
+///
+/// Entries follow the base::WeakMemo rule: each holds a weak handle from
+/// Design::shared_modules(), so a text never describes a later module at a
+/// recycled address, and expired entries are swept out. Modules a design
+/// owns (leaf-cell alternative tops, synthesize_netlist tops) die with it
+/// and are rendered fresh, never stored.
+///
+/// Not thread-safe: one emit call at a time, like the Synthesizer that
+/// owns it.
 class EmissionCache {
  public:
-  /// Entity + architecture text of `m` (see emit_structural), cached.
-  const std::string& module_text(const netlist::Module& m);
+  struct Stats {
+    long hits = 0;    // shared-module texts served from the memo
+    long misses = 0;  // shared-module texts rendered and stored
+    long bytes = 0;   // resident text bytes
+  };
 
+  EmissionCache() = default;
+  ~EmissionCache();
+  EmissionCache(const EmissionCache&) = delete;
+  EmissionCache& operator=(const EmissionCache&) = delete;
+
+  /// Entity + architecture text of the shared module `m` (see
+  /// emit_structural), memoized while `m` is alive. `owner` must co-own
+  /// `m`; the entry keeps only a weak handle on it.
+  const std::string& module_text(
+      const netlist::Module& m,
+      const std::shared_ptr<const netlist::Module>& owner);
+
+  /// Entries held, stale ones included.
   std::size_t size() const { return memo_.size(); }
+  const Stats& stats() const { return stats_; }
 
  private:
-  std::unordered_map<const netlist::Module*, std::string> memo_;
+  friend std::string emit_structural(const netlist::Design& design,
+                                     EmissionCache& cache);
+
+  /// Add the stats accrued since the last call to the registry's
+  /// vhdl.emission_cache.* metrics: one bulk delta per emitted design,
+  /// so concurrent warm sessions do not bump a shared atomic per module.
+  void publish();
+
+  base::WeakMemo<netlist::Module, std::string> memo_;
+  Stats stats_;
+  Stats published_;  // the part of stats_ already in the registry
 };
 
 /// Emit a hierarchical design as structural VHDL: one entity/architecture
@@ -39,9 +76,9 @@ class EmissionCache {
 /// intermediate signals where VHDL requires it.
 std::string emit_structural(const netlist::Design& design);
 
-/// The same output, with per-module text served from (and published to)
-/// `cache` — use one cache across a whole front so shared modules are
-/// rendered once.
+/// The same output, with shared-module text served from (and published
+/// to) `cache` — use one cache across a whole front, or a whole session,
+/// so shared modules are rendered once.
 std::string emit_structural(const netlist::Design& design,
                             EmissionCache& cache);
 

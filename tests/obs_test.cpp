@@ -149,6 +149,18 @@ TEST(MetricsTest, SnapshotDiffAttributesOneWindow) {
   EXPECT_NE(json.find("\"test.window.histogram\""), std::string::npos);
 }
 
+TEST(ProfileTest, RepeatedPhaseAccumulatesUnderOneName) {
+  obs::Profile p;
+  p.add_phase("verify", 1.0);
+  p.add_phase("emit", 2.0);
+  p.add_phase("verify", 0.5);
+  ASSERT_EQ(p.phases_ms.size(), 2u);
+  EXPECT_EQ(p.phases_ms[0].first, "verify");
+  EXPECT_DOUBLE_EQ(p.phases_ms[0].second, 1.5);
+  EXPECT_EQ(p.phases_ms[1].first, "emit");
+  EXPECT_DOUBLE_EQ(p.total_ms(), 3.5);
+}
+
 TEST(TraceTest, DisabledSpanIsBranchOnly) {
   ASSERT_FALSE(obs::Tracer::enabled());
   const std::size_t events_before = obs::Tracer::global().event_count();

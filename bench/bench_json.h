@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/json_text.h"
 #include "dtas/synthesizer.h"
 
 namespace bridge::benchjson {
@@ -84,26 +85,17 @@ inline bool identical_fronts(const std::vector<dtas::AlternativeDesign>& a,
 
 namespace detail {
 
-inline std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 inline std::string format_entry(const Entry& e) {
   std::ostringstream os;
-  os << "    {\"name\": \"" << escape(e.name) << '"';
+  os << "    {\"name\": \"" << base::json_escaped(e.name) << '"';
   for (const auto& [k, v] : e.numbers) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os << ", \"" << escape(k) << "\": " << buf;
+    os << ", \"" << base::json_escaped(k) << "\": " << buf;
   }
   for (const auto& [k, v] : e.strings) {
-    os << ", \"" << escape(k) << "\": \"" << escape(v) << '"';
+    os << ", \"" << base::json_escaped(k) << "\": \"" << base::json_escaped(v)
+       << '"';
   }
   os << '}';
   return os.str();

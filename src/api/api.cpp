@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "base/diag.h"
@@ -43,6 +44,32 @@ std::uint64_t decode_const_value(const Json& j) {
   return static_cast<std::uint64_t>(v);
 }
 
+constexpr int kIntMin = std::numeric_limits<int>::min();
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+/// `v` narrowed to int once it is checked to be an integer in [lo, hi];
+/// otherwise an Error naming the field (`what` and `key`). Every int the
+/// decoders read passes here: the wire carries doubles, and narrowing an
+/// unchecked one wraps (4294967297 reads as 1) or is undefined.
+int checked_int(const char* what, const std::string& key, double v, int lo,
+                int hi) {
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    throw Error(std::string(what) + " '" + key + "' must be an integer in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+                format_json_number(v));
+  }
+  return static_cast<int>(v);
+}
+
+/// Member `key` of `j` through checked_int; `dflt` when absent or null.
+int int_field(const Json& j, const char* what, const std::string& key,
+              int dflt, int lo = kIntMin, int hi = kIntMax) {
+  const Json* v = j.find(key);
+  return v == nullptr || v->is_null()
+             ? dflt
+             : checked_int(what, key, v->number(), lo, hi);
+}
+
 genus::Representation rep_from_name(const std::string& name) {
   if (name == "BINARY") return genus::Representation::kBinary;
   if (name == "BCD") return genus::Representation::kBcd;
@@ -73,8 +100,8 @@ Json encode_spec(const genus::ComponentSpec& spec) {
 genus::ComponentSpec decode_spec(const Json& j) {
   genus::ComponentSpec spec;
   spec.kind = genus::kind_from_name(j.at("kind").string_value());
-  spec.width = static_cast<int>(j.int_or("width", 1));
-  spec.size = static_cast<int>(j.int_or("size", 0));
+  spec.width = int_field(j, "spec", "width", 1);
+  spec.size = int_field(j, "spec", "size", 0);
   spec.ops = genus::OpSet::parse(j.str_or("ops", ""));
   spec.style = genus::style_from_name(j.str_or("style", "ANY"));
   spec.rep = rep_from_name(j.str_or("rep", "BINARY"));
@@ -165,13 +192,13 @@ netlist::Module decode_netlist(const Json& j) {
       }
       m.add_port(name,
                  dir == "in" ? genus::PortDir::kIn : genus::PortDir::kOut,
-                 static_cast<int>(pj.int_or("width", 1)));
+                 int_field(pj, "port", "width", 1));
     }
   }
   if (const Json* nets = j.find("nets")) {
     for (const Json& nj : nets->items()) {
       m.add_net(nj.at("name").string_value(),
-                static_cast<int>(nj.int_or("width", 1)));
+                int_field(nj, "net", "width", 1));
     }
   }
   if (const Json* insts = j.find("instances")) {
@@ -194,7 +221,7 @@ netlist::Module decode_netlist(const Json& j) {
               throw Error("connection of '" + inst.name +
                           "' references unknown net '" + net_name + "'");
             }
-            const int lo = static_cast<int>(cj.int_or("lo", 0));
+            const int lo = int_field(cj, "connection", "lo", 0);
             if (cj.bool_or("replicate", false)) {
               m.connect_replicated(inst, port, net, lo);
             } else {
@@ -231,16 +258,16 @@ Json encode_options(const RequestOptions& o) {
 }
 
 /// `threads` sizes a thread pool, so an unchecked value could ask for
-/// more threads than the process can create; bound it before it narrows
-/// to int (the JSON number arrives as a double).
+/// more threads than the process can create.
 int checked_threads(double threads) {
-  if (!(threads >= 0 && threads <= RequestOptions::kMaxThreads) ||
-      threads != std::floor(threads)) {
-    throw Error("option 'threads' must be an integer in [0, " +
-                std::to_string(RequestOptions::kMaxThreads) + "], got " +
-                format_json_number(threads));
-  }
-  return static_cast<int>(threads);
+  return checked_int("option", "threads", threads, 0,
+                     RequestOptions::kMaxThreads);
+}
+
+/// The front keeps at most this many alternatives per node; below one
+/// there is no front to return.
+int checked_max_alternatives(double n) {
+  return checked_int("option", "max_alternatives_per_node", n, 1, kIntMax);
 }
 
 RequestOptions decode_options(const Json& j) {
@@ -250,8 +277,8 @@ RequestOptions decode_options(const Json& j) {
       j.bool_or("deadline_best_effort", o.deadline_best_effort);
   o.threads = checked_threads(j.num_or("threads", o.threads));
   o.filter = j.str_or("filter", o.filter);
-  o.max_alternatives_per_node = static_cast<int>(
-      j.int_or("max_alternatives_per_node", o.max_alternatives_per_node));
+  o.max_alternatives_per_node = checked_max_alternatives(
+      j.num_or("max_alternatives_per_node", o.max_alternatives_per_node));
   o.max_combinations_per_impl =
       j.int_or("max_combinations_per_impl", o.max_combinations_per_impl);
   o.min_delay_gain = j.num_or("min_delay_gain", o.min_delay_gain);
@@ -280,7 +307,8 @@ dtas::FilterKind filter_from_name(const std::string& name) {
 dtas::SpaceOptions RequestOptions::space_options() const {
   dtas::SpaceOptions o;
   o.filter = filter_from_name(filter);
-  o.max_alternatives_per_node = max_alternatives_per_node;
+  o.max_alternatives_per_node =
+      checked_max_alternatives(max_alternatives_per_node);
   o.max_combinations_per_impl = max_combinations_per_impl;
   o.min_delay_gain = min_delay_gain;
   o.threads = checked_threads(threads);

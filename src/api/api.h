@@ -94,7 +94,8 @@ struct RequestOptions {
 
   /// Resolve into the dtas layer's options, applying the env-default
   /// precedence documented above. Throws bridge::Error on an unknown
-  /// filter name or an out-of-range `threads`.
+  /// filter name, an out-of-range `threads` or a
+  /// `max_alternatives_per_node` below 1.
   dtas::SpaceOptions space_options() const;
 
   /// Stable key of every field that shapes the memoized design space
@@ -119,9 +120,11 @@ struct SynthesisRequest {
 
   /// Throws bridge::Error / bridge::ParseError on malformed input
   /// (missing library, neither or both of spec/netlist, bad enum names,
-  /// `threads` outside [0, RequestOptions::kMaxThreads]). Unknown option
-  /// keys are ignored, so requests from older clients that still send
-  /// the retired evaluator/cache toggles decode unchanged.
+  /// `threads` outside [0, RequestOptions::kMaxThreads],
+  /// `max_alternatives_per_node` below 1, any other int field that is
+  /// not an integer in int range; the message names the field). Unknown
+  /// option keys are ignored, so requests from older clients that still
+  /// send the retired evaluator/cache toggles decode unchanged.
   static SynthesisRequest decode(const Json& j);
   static SynthesisRequest from_json(const std::string& text);
 };

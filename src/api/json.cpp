@@ -1,9 +1,11 @@
 #include "api/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
+
+#include "base/json_text.h"
 
 namespace bridge::api {
 
@@ -30,12 +32,17 @@ double Json::number() const {
 
 long Json::integer() const {
   const double v = number();
-  const long l = static_cast<long>(v);
-  if (static_cast<double>(l) != v) {
+  // Range first: converting a double outside long's range is undefined.
+  constexpr double kLimit = -static_cast<double>(
+      std::numeric_limits<long>::min());  // 2^63, exact
+  if (!(v >= -kLimit && v < kLimit)) {
+    throw Error("JSON number " + format_json_number(v) + " is out of range");
+  }
+  if (v != std::floor(v)) {
     throw Error("JSON number " + format_json_number(v) +
                 " is not an integer");
   }
-  return l;
+  return static_cast<long>(v);
 }
 
 const std::string& Json::string_value() const {
@@ -113,61 +120,40 @@ std::string Json::str_or(const std::string& key,
 
 // --- serialization ---------------------------------------------------------
 
-std::string format_json_number(double v) {
+namespace {
+
+// Longest number text: sign, 17 digits, point, "e-308".
+constexpr int kNumberChars = 32;
+
+/// dump()'s text for `v`, written at `buf`; returns its end. to_chars
+/// with a precision is specified as printf with that precision, so this
+/// is exactly "%lld" for the integral branch and "%.17g" for the rest.
+char* write_number(char* buf, double v) {
   if (!std::isfinite(v)) {
     // JSON has no inf/nan; clamp to null-ish zero rather than emit an
     // unparsable token. Metrics are always finite, so this is a guard,
     // not a path the encoders take.
-    return "0";
+    *buf = '0';
+    return buf + 1;
   }
   // Integral doubles in the exactly-representable range print as plain
   // integers; the rest get 17 significant digits, which round-trips any
-  // double exactly through a correctly-rounded strtod.
+  // double exactly through a correctly-rounded parse.
   constexpr double kMaxExact = 9007199254740992.0;  // 2^53
   if (v == std::floor(v) && std::fabs(v) < kMaxExact) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    return std::to_chars(buf, buf + kNumberChars, static_cast<long long>(v))
+        .ptr;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return std::to_chars(buf, buf + kNumberChars, v, std::chars_format::general,
+                       17)
+      .ptr;
 }
 
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
+void dump_string(const std::string& s, std::string& out) {
+  out.push_back('"');
+  base::append_json_escaped(out, s);
+  out.push_back('"');
 }
-
-namespace {
 
 void dump_to(const Json& j, std::string& out) {
   switch (j.type()) {
@@ -177,13 +163,13 @@ void dump_to(const Json& j, std::string& out) {
     case Json::Type::kBool:
       out += j.bool_value() ? "true" : "false";
       return;
-    case Json::Type::kNumber:
-      out += format_json_number(j.number());
+    case Json::Type::kNumber: {
+      char buf[kNumberChars];
+      out.append(buf, write_number(buf, j.number()));
       return;
+    }
     case Json::Type::kString:
-      out.push_back('"');
-      out += escape_json(j.string_value());
-      out.push_back('"');
+      dump_string(j.string_value(), out);
       return;
     case Json::Type::kArray: {
       out.push_back('[');
@@ -202,9 +188,8 @@ void dump_to(const Json& j, std::string& out) {
       for (const auto& [k, v] : j.members()) {
         if (!first) out.push_back(',');
         first = false;
-        out.push_back('"');
-        out += escape_json(k);
-        out += "\":";
+        dump_string(k, out);
+        out.push_back(':');
         dump_to(v, out);
       }
       out.push_back('}');
@@ -214,6 +199,11 @@ void dump_to(const Json& j, std::string& out) {
 }
 
 }  // namespace
+
+std::string format_json_number(double v) {
+  char buf[kNumberChars];
+  return std::string(buf, write_number(buf, v));
+}
 
 std::string Json::dump() const {
   std::string out;
@@ -353,94 +343,105 @@ class Parser {
   std::string parse_string() {
     expect('"');
     std::string out;
+    const char* const begin = text_.data();
+    const char* const end = begin + text_.size();
     for (;;) {
+      // A clean run holds no control byte, so no newline: it moves the
+      // column, never the line.
+      const char* const run = begin + pos_;
+      const char* const special = base::find_json_special(run, end);
+      out.append(run, static_cast<std::size_t>(special - run));
+      pos_ = static_cast<std::size_t>(special - begin);
       if (eof()) fail("unterminated string");
-      char c = next();
+      const char c = next();
       if (c == '"') return out;
-      if (c == '\\') {
-        if (eof()) fail("unterminated escape");
-        char e = next();
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              if (eof()) fail("truncated \\u escape");
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= h - '0';
-              else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-              else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-              else fail("bad hex digit in \\u escape");
-            }
-            // Encode the code unit as UTF-8. Surrogate pairs are not
-            // combined (the API layer only ever emits \u00XX controls);
-            // a lone surrogate still produces well-formed-enough bytes
-            // rather than an error, matching lenient wire parsers.
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            fail(std::string("bad escape '\\") + e + "'");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      } else {
-        out.push_back(c);
+      if (c != '\\') fail("raw control character in string");
+      if (eof()) fail("unterminated escape");
+      const char e = next();
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': append_code_unit(out); break;
+        default: fail(std::string("bad escape '\\") + e + "'");
       }
     }
   }
 
+  /// The four hex digits after "\u", appended as UTF-8.
+  void append_code_unit(std::string& out) {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      if (eof()) fail("truncated \\u escape");
+      const char h = next();
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= h - '0';
+      else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
+      else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
+      else fail("bad hex digit in \\u escape");
+    }
+    // Encode the code unit as UTF-8. Surrogate pairs are not combined
+    // (the API layer only ever emits \u00XX controls); a lone surrogate
+    // still produces well-formed-enough bytes rather than an error,
+    // matching lenient wire parsers.
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
+  bool at_digit() const { return !eof() && peek() >= '0' && peek() <= '9'; }
+
+  void skip_digits() {
+    while (at_digit()) ++pos_;  // digits never move the line
+  }
+
   Json parse_number() {
     const std::size_t start = pos_;
-    if (consume('-')) {
-      // sign consumed
-    }
-    if (eof() || peek() < '0' || peek() > '9') fail("malformed number");
+    consume('-');
+    if (!at_digit()) fail("malformed number");
     // RFC 8259 integer grammar: a leading zero stands alone.
     if (peek() == '0') {
       next();
-      if (!eof() && peek() >= '0' && peek() <= '9') {
-        fail("malformed number: leading zero");
-      }
+      if (at_digit()) fail("malformed number: leading zero");
     } else {
-      while (!eof() && peek() >= '0' && peek() <= '9') next();
+      skip_digits();
     }
     if (consume('.')) {
-      if (eof() || peek() < '0' || peek() > '9') {
-        fail("malformed number: digits required after '.'");
-      }
-      while (!eof() && peek() >= '0' && peek() <= '9') next();
+      if (!at_digit()) fail("malformed number: digits required after '.'");
+      skip_digits();
     }
     if (!eof() && (peek() == 'e' || peek() == 'E')) {
       next();
       if (!eof() && (peek() == '+' || peek() == '-')) next();
-      if (eof() || peek() < '0' || peek() > '9') {
-        fail("malformed number: digits required in exponent");
-      }
-      while (!eof() && peek() >= '0' && peek() <= '9') next();
+      if (!at_digit()) fail("malformed number: digits required in exponent");
+      skip_digits();
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number");
+    // The grammar above admits exactly what from_chars reads, so it
+    // consumes the whole span. It reports underflow and overflow as
+    // out-of-range without a value; strtod then gives the values this
+    // parser has always produced (0 on underflow, a subnormal where one
+    // exists, infinity on overflow, which is rejected below).
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec == std::errc::result_out_of_range) {
+      v = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (r.ec != std::errc() || r.ptr != last) {
+      fail("malformed number");
+    }
     if (!std::isfinite(v)) fail("number out of range");
     return Json(v);
   }

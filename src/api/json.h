@@ -14,6 +14,27 @@
 //     pattern — which is what lets a front travel over the wire and
 //     compare bit-identical to in-process synthesis.
 //
+// Every request and response crosses this codec, and a VHDL-bearing
+// response is mostly escaped text, so its text paths avoid per-byte work:
+//
+//  - Strings. base::find_json_special (src/base/json_text.h) scans eight
+//    bytes per step for the next byte a string must escape. dump() copies
+//    each clean run straight into its one output buffer and writes the
+//    escape; the parser copies runs the same way and decodes escapes
+//    inline.
+//  - Numbers. dump() writes them with std::to_chars, which the standard
+//    defines as printf with the same precision: integral doubles below
+//    2^53 as "%lld", the rest as "%.17g", so every output byte is what
+//    snprintf wrote. The parser reads the number span in place with
+//    std::from_chars; only on out-of-range (underflow or overflow) does it
+//    fall back to strtod, so 1e-400 still parses to 0 and 1e400 is still
+//    rejected.
+//
+// tests/json_codec_test.cpp holds both paths to the byte-at-a-time codec
+// they replaced (oracle::reference_dump / reference_parse): identical
+// dump bytes, number text and bits, parsed values and ParseError
+// positions.
+//
 // The parser is input-hardened like the repo's other text parsers
 // (Liberty, data book, LEGEND): malformed input raises bridge::ParseError
 // with line/column, nesting is depth-capped (a nesting bomb is an error,
@@ -64,7 +85,8 @@ class Json {
   /// turns that into a clean error response, never undefined behavior).
   bool bool_value() const;
   double number() const;
-  /// number() checked to be integral and in long range.
+  /// number() checked to be in long range ("out of range") and integral
+  /// ("not an integer").
   long integer() const;
   const std::string& string_value() const;
 
@@ -109,8 +131,5 @@ class Json {
 /// Format one double the way dump() does (shared with code that needs
 /// the identical text outside a Json value).
 std::string format_json_number(double v);
-
-/// JSON string escaping of `s` without the surrounding quotes.
-std::string escape_json(const std::string& s);
 
 }  // namespace bridge::api

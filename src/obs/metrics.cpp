@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "base/json_text.h"
+
 namespace bridge::obs {
 
 namespace {
@@ -200,16 +202,6 @@ Snapshot diff(const Snapshot& after, const Snapshot& before) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string fmt_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -223,7 +215,7 @@ std::string Snapshot::to_json() const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, v] : counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << base::json_escaped(name)
        << "\": " << v;
     first = false;
   }
@@ -231,7 +223,7 @@ std::string Snapshot::to_json() const {
   first = true;
   for (const auto& [name, v] : gauges) {
     auto pk = gauge_peaks.find(name);
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << base::json_escaped(name)
        << "\": {\"value\": " << v << ", \"peak\": "
        << (pk == gauge_peaks.end() ? v : pk->second) << "}";
     first = false;
@@ -239,7 +231,7 @@ std::string Snapshot::to_json() const {
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
+    os << (first ? "\n" : ",\n") << "    \"" << base::json_escaped(name)
        << "\": {\"count\": " << h.count << ", \"sum\": " << fmt_num(h.sum)
        << ", \"min\": " << fmt_num(h.min) << ", \"max\": " << fmt_num(h.max)
        << ", \"p50\": " << fmt_num(h.percentile(0.5))

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "base/json_text.h"
+
 namespace bridge::obs {
 
 double Profile::total_ms() const {
@@ -25,36 +27,24 @@ long Profile::counter(const std::string& name) const {
   return 0;
 }
 
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string Profile::to_json() const {
   std::ostringstream os;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", total_ms());
-  os << "{\"name\": \"" << escape(name) << "\", \"total_ms\": " << buf
-     << ", \"phases_ms\": {";
+  os << "{\"name\": \"" << base::json_escaped(name)
+     << "\", \"total_ms\": " << buf << ", \"phases_ms\": {";
   bool first = true;
   for (const auto& [phase, ms] : phases_ms) {
     std::snprintf(buf, sizeof(buf), "%.6g", ms);
-    os << (first ? "" : ", ") << "\"" << escape(phase) << "\": " << buf;
+    os << (first ? "" : ", ") << "\"" << base::json_escaped(phase)
+       << "\": " << buf;
     first = false;
   }
   os << "}, \"counters\": {";
   first = true;
   for (const auto& [counter, v] : counters) {
-    os << (first ? "" : ", ") << "\"" << escape(counter) << "\": " << v;
+    os << (first ? "" : ", ") << "\"" << base::json_escaped(counter)
+       << "\": " << v;
     first = false;
   }
   os << "}}";

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -21,6 +22,12 @@ struct ServerMetrics {
       obs::Registry::global().counter("server.connections");
   obs::Histogram& request_ms =
       obs::Registry::global().histogram("server.request_ms");
+  // Per synthesize request: Json::parse plus SynthesisRequest::decode,
+  // and SynthesisResult::encode plus dump.
+  obs::Histogram& decode_ms =
+      obs::Registry::global().histogram("server.decode_ms");
+  obs::Histogram& encode_ms =
+      obs::Registry::global().histogram("server.encode_ms");
 
   static ServerMetrics& get() {
     static ServerMetrics m;
@@ -186,14 +193,17 @@ void SynthesisServer::serve_connection(Connection* conn) {
 std::string SynthesisServer::handle_message(
     const std::string& payload,
     const std::shared_ptr<base::CancelToken>& cancel, bool& shutdown_after) {
+  ServerMetrics& metrics = ServerMetrics::get();
+  const auto parse_t0 = std::chrono::steady_clock::now();
   api::Json msg;
   try {
     msg = api::Json::parse(payload);
   } catch (const Error& e) {
     errors_.fetch_add(1);
-    ServerMetrics::get().errors.add(1);
+    metrics.errors.add(1);
     return api::SynthesisResult::make_error("error", e.what()).to_json();
   }
+  const double parse_ms = ms_since(parse_t0);
   const api::Json* id = msg.find("id");
   const std::string method = msg.str_or("method", "synthesize");
 
@@ -227,7 +237,7 @@ std::string SynthesisServer::handle_message(
   }
   if (method != "synthesize") {
     errors_.fetch_add(1);
-    ServerMetrics::get().errors.add(1);
+    metrics.errors.add(1);
     return finish_response(
         api::SynthesisResult::make_error("error",
                                          "unknown method '" + method + "'")
@@ -237,21 +247,32 @@ std::string SynthesisServer::handle_message(
 
   const auto t0 = std::chrono::steady_clock::now();
   api::SynthesisResult result;
+  std::optional<api::SynthesisRequest> req;
   try {
-    const api::SynthesisRequest req = api::SynthesisRequest::decode(msg);
-    result = dispatch_synthesize(req, cancel);
+    req = api::SynthesisRequest::decode(msg);
   } catch (const std::exception& e) {
     result = api::SynthesisResult::make_error("error", e.what());
   }
+  metrics.decode_ms.record(parse_ms + ms_since(t0));
+  if (req.has_value()) {
+    try {
+      result = dispatch_synthesize(*req, cancel);
+    } catch (const std::exception& e) {
+      result = api::SynthesisResult::make_error("error", e.what());
+    }
+  }
   result.server_ms = ms_since(t0);
   requests_.fetch_add(1);
-  ServerMetrics::get().requests.add(1);
-  ServerMetrics::get().request_ms.record(result.server_ms);
+  metrics.requests.add(1);
+  metrics.request_ms.record(result.server_ms);
   if (!result.ok()) {
     errors_.fetch_add(1);
-    ServerMetrics::get().errors.add(1);
+    metrics.errors.add(1);
   }
-  return finish_response(result.encode(), id);
+  const auto encode_t0 = std::chrono::steady_clock::now();
+  std::string response = finish_response(result.encode(), id);
+  metrics.encode_ms.record(ms_since(encode_t0));
+  return response;
 }
 
 api::SynthesisResult SynthesisServer::dispatch_synthesize(

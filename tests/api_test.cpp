@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "base/diag.h"
 #include "cells/cell.h"
 #include "cells/registry.h"
+#include "datapaths.h"
 #include "genus/spec.h"
 #include "vhdl/vhdl.h"
 
@@ -20,28 +22,7 @@ namespace bridge {
 namespace {
 
 using api::Json;
-
-// The dp8 netlist of tests/deadline_test.cpp: adder + mux datapath.
-netlist::Module make_input_netlist() {
-  netlist::Module input("dp8");
-  netlist::NetIndex a = input.add_port("A", genus::PortDir::kIn, 8);
-  netlist::NetIndex b = input.add_port("B", genus::PortDir::kIn, 8);
-  netlist::NetIndex sel = input.add_port("SEL", genus::PortDir::kIn, 1);
-  netlist::NetIndex out = input.add_port("OUT", genus::PortDir::kOut, 8);
-  netlist::NetIndex sum = input.add_net("sum", 8);
-  auto& add = input.add_spec_instance(
-      "add0", genus::make_adder_spec(8, /*carry_in=*/false,
-                                     /*carry_out=*/false));
-  input.connect(add, "A", a);
-  input.connect(add, "B", b);
-  input.connect(add, "S", sum);
-  auto& mux = input.add_spec_instance("mux0", genus::make_mux_spec(8, 2));
-  input.connect(mux, "I0", a);
-  input.connect(mux, "I1", sum);
-  input.connect(mux, "SEL", sel);
-  input.connect(mux, "OUT", out);
-  return input;
-}
+using testutil::make_adder_mux8;
 
 TEST(JsonTest, ValueRoundTrips) {
   Json obj = Json::object();
@@ -140,30 +121,14 @@ TEST(ApiGoldenTest, SpecRequestEncodeDecodeEncodeByteIdentical) {
 TEST(ApiGoldenTest, NetlistRequestEncodeDecodeEncodeByteIdentical) {
   api::SynthesisRequest req;
   req.library = "LSI_LGC15";
-  req.input_netlist = make_input_netlist();
+  req.input_netlist = make_adder_mux8();
   const std::string first = req.to_json();
   const api::SynthesisRequest decoded = api::SynthesisRequest::from_json(first);
   EXPECT_EQ(decoded.to_json(), first);
 }
 
 TEST(ApiGoldenTest, NetlistCodecRoundTripsEveryConnectionKind) {
-  netlist::Module m("conns");
-  netlist::NetIndex a = m.add_port("A", genus::PortDir::kIn, 4);
-  netlist::NetIndex y = m.add_port("Y", genus::PortDir::kOut, 4);
-  netlist::NetIndex mode = m.add_net("mode", 1);
-  auto& inst = m.add_spec_instance("g0", genus::make_gate_spec(genus::Op::kXor, 4),
-                                   "ref-label");
-  m.connect(inst, "I0", a, /*lo=*/0);
-  m.connect_replicated(inst, "I1", mode, /*bit=*/0);
-  m.connect(inst, "OUT", y);
-  auto& add = m.add_spec_instance(
-      "a0", genus::make_adder_spec(4, /*carry_in=*/true, /*carry_out=*/true));
-  m.connect_const(add, "CI", 0);
-  m.connect(add, "A", a);
-  m.connect(add, "B", a);
-  add.connections["CO"] = netlist::PortConn::open();
-  m.connect(add, "S", y);
-
+  const netlist::Module m = testutil::make_connection_kinds();
   const Json j = api::encode_netlist(m);
   const netlist::Module back = api::decode_netlist(j);
   EXPECT_EQ(api::encode_netlist(back).dump(), j.dump());
@@ -230,7 +195,7 @@ TEST(ApiRequestTest, RejectsMalformedRequests) {
   api::SynthesisRequest both;
   both.library = "LSI_LGC15";
   both.spec = genus::make_adder_spec(4);
-  both.input_netlist = make_input_netlist();
+  both.input_netlist = make_adder_mux8();
   EXPECT_THROW(api::SynthesisRequest::decode(both.encode()), Error);
   // Unknown enum names are errors, not defaults.
   EXPECT_THROW(api::SynthesisRequest::from_json(
@@ -276,6 +241,98 @@ TEST(ApiRequestTest, OutOfRangeThreadsIsAnErrorNamingTheField) {
   const api::SynthesisResult res = api::run_request(req, registry);
   EXPECT_EQ(res.status, "error");
   EXPECT_NE(res.error.find("threads"), std::string::npos) << res.error;
+}
+
+TEST(ApiRequestTest, IntegerFieldsOutsideTheirRangeAreErrorsNamingTheField) {
+  // Wire numbers are doubles. Narrowed unchecked, "width": 4294967297
+  // decoded as a 1-bit adder and returned its front as ok, and
+  // max_alternatives_per_node -3 / 0 failed deep in the evaluator or
+  // returned an empty ok front.
+  const std::string spec =
+      R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":)";
+  const std::string opts =
+      R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":4},)"
+      R"("options":{"max_alternatives_per_node":)";
+  const std::string net =
+      R"({"library":"LSI_LGC15","netlist":{"name":"n","ports":[)"
+      R"({"name":"A","dir":"in","width":)";
+  const struct {
+    std::string text;
+    const char* field;
+  } bad[] = {
+      {spec + "4294967297}}", "width"},
+      {spec + "-4294967297}}", "width"},
+      {spec + "1e300}}", "width"},
+      {spec + "2.5}}", "width"},
+      {R"({"library":"LSI_LGC15","spec":{"kind":"MUX","width":4,"size":)"
+       "4294967298}}",
+       "size"},
+      {opts + "4294967297}}", "max_alternatives_per_node"},
+      {opts + "-3}}", "max_alternatives_per_node"},
+      {opts + "0}}", "max_alternatives_per_node"},
+      {net + "4294967297}]}}", "width"},
+      {R"({"library":"LSI_LGC15","netlist":{"name":"n","nets":[)"
+       R"({"name":"w","width":1e300}]}})",
+       "width"},
+      {R"({"library":"LSI_LGC15","netlist":{"name":"n","ports":[)"
+       R"({"name":"A","dir":"in","width":4}],"instances":[{"name":"g",)"
+       R"("spec":{"kind":"ADDER","width":4},"conns":[)"
+       R"({"port":"A","net":"A","lo":4294967296}]}]}})",
+       "lo"},
+  };
+  for (const auto& [text, field] : bad) {
+    SCOPED_TRACE(text);
+    try {
+      api::SynthesisRequest::from_json(text);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(api::SynthesisRequest::from_json(opts + "1}}")
+                .options.max_alternatives_per_node,
+            1);
+  EXPECT_EQ(api::SynthesisRequest::from_json(spec + "2147483647}}").spec->width,
+            2147483647);
+  // A request built in process is held to the same floor.
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(4);
+  req.options.max_alternatives_per_node = 0;
+  auto registry = cells::LibraryRegistry::with_builtins();
+  const api::SynthesisResult res = api::run_request(req, registry);
+  EXPECT_EQ(res.status, "error");
+  EXPECT_NE(res.error.find("max_alternatives_per_node"), std::string::npos)
+      << res.error;
+}
+
+TEST(ApiRequestTest, IntegerOutsideLongRangeIsOutOfRange) {
+  // The range check comes before the conversion: converting 1e300 to long
+  // is undefined behavior (UBSan float-cast-overflow).
+  for (double v : {1e300, -1e300, 9223372036854775808.0}) {
+    try {
+      (void)Json(v).integer();
+      ADD_FAILURE() << v << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(Json(-9223372036854775808.0).integer(),
+            std::numeric_limits<long>::min());
+  try {
+    (void)Json(2.5).integer();
+    ADD_FAILURE() << "2.5 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("not an integer"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(api::SynthesisRequest::from_json(
+                   R"({"library":"LSI_LGC15","spec":{"kind":"ADDER"},)"
+                   R"("options":{"deadline_ms":1e300}})"),
+               Error);
 }
 
 TEST(ApiRequestTest, RetiredToggleKeysAreIgnored) {
@@ -327,7 +384,7 @@ TEST(ApiRunTest, RequestMatchesDirectSynthesis) {
 TEST(ApiRunTest, NetlistRequestMatchesDirectSynthesis) {
   api::SynthesisRequest req;
   req.library = cells::lsi_library().name();
-  req.input_netlist = make_input_netlist();
+  req.input_netlist = make_adder_mux8();
   auto registry = cells::LibraryRegistry::with_builtins();
   // Through the wire form: encode -> decode -> run.
   const api::SynthesisResult res =

@@ -130,4 +130,43 @@ inline netlist::Module make_datapath16() {
   return m;
 }
 
+/// The request tests' adder + mux datapath: OUT = SEL ? A + B : A.
+inline netlist::Module make_adder_mux8() {
+  netlist::Module input("dp8");
+  const auto a = input.add_port("A", genus::PortDir::kIn, 8);
+  const auto b = input.add_port("B", genus::PortDir::kIn, 8);
+  const auto sel = input.add_port("SEL", genus::PortDir::kIn, 1);
+  const auto out = input.add_port("OUT", genus::PortDir::kOut, 8);
+  const auto sum = input.add_net("sum", 8);
+  place(input, "add0",
+        genus::make_adder_spec(8, /*carry_in=*/false, /*carry_out=*/false),
+        {{"A", a}, {"B", b}, {"S", sum}});
+  place(input, "mux0", genus::make_mux_spec(8, 2),
+        {{"I0", a}, {"I1", sum}, {"SEL", sel}, {"OUT", out}});
+  return input;
+}
+
+/// One netlist with every connection kind the request codec carries: a
+/// net slice, a replicated bit, a constant, an explicit open, and an
+/// instance reference label.
+inline netlist::Module make_connection_kinds() {
+  netlist::Module m("conns");
+  const auto a = m.add_port("A", genus::PortDir::kIn, 4);
+  const auto y = m.add_port("Y", genus::PortDir::kOut, 4);
+  const auto mode = m.add_net("mode", 1);
+  auto& inst = m.add_spec_instance(
+      "g0", genus::make_gate_spec(genus::Op::kXor, 4), "ref-label");
+  m.connect(inst, "I0", a, /*lo=*/0);
+  m.connect_replicated(inst, "I1", mode, /*bit=*/0);
+  m.connect(inst, "OUT", y);
+  auto& add = m.add_spec_instance(
+      "a0", genus::make_adder_spec(4, /*carry_in=*/true, /*carry_out=*/true));
+  m.connect_const(add, "CI", 0);
+  m.connect(add, "A", a);
+  m.connect(add, "B", a);
+  add.connections["CO"] = netlist::PortConn::open();
+  m.connect(add, "S", y);
+  return m;
+}
+
 }  // namespace bridge::testutil

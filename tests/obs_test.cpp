@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/json.h"
 #include "cells/cell.h"
 #include "dtas/design_space.h"
 #include "dtas/synthesizer.h"
@@ -159,6 +160,44 @@ TEST(ProfileTest, RepeatedPhaseAccumulatesUnderOneName) {
   EXPECT_DOUBLE_EQ(p.phases_ms[0].second, 1.5);
   EXPECT_EQ(p.phases_ms[1].first, "emit");
   EXPECT_DOUBLE_EQ(p.total_ms(), 3.5);
+}
+
+TEST(ObsJsonTest, ControlCharactersInNamesParseBack) {
+  // Names come from callers (a netlist's name lands in its profile), so
+  // every byte a JSON string cannot carry raw must be escaped, not just
+  // '"' and '\\'.
+  const std::string odd = std::string("q\"b\\n\nt\tc\x01\x1f") + '\0';
+  netlist::Module input("dp\n8");
+  const netlist::NetIndex a = input.add_port("A", genus::PortDir::kIn, 4);
+  const netlist::NetIndex y = input.add_port("Y", genus::PortDir::kOut, 4);
+  auto& add = input.add_spec_instance(
+      "add0", genus::make_adder_spec(4, /*carry_in=*/false,
+                                     /*carry_out=*/false));
+  input.connect(add, "A", a);
+  input.connect(add, "B", a);
+  input.connect(add, "S", y);
+  dtas::Synthesizer synth(cells::lsi_library());
+  ASSERT_FALSE(synth.synthesize_netlist(input).empty());
+  obs::Profile p = synth.last_profile();
+  ASSERT_EQ(p.name, "synthesize_netlist:dp\n8");
+  p.add_phase(odd, 1.0);
+  p.add_counter(odd, 3);
+  const api::Json pj = api::Json::parse(p.to_json());
+  EXPECT_EQ(pj.at("name").string_value(), p.name);
+  EXPECT_EQ(pj.at("phases_ms").at(odd).number(), 1.0);
+  EXPECT_EQ(pj.at("counters").at(odd).integer(), 3);
+
+  obs::Registry::global().counter("obs_test.counter" + odd).add(1);
+  obs::Registry::global().gauge("obs_test.gauge" + odd).set(2);
+  obs::Registry::global().histogram("obs_test.histogram" + odd).record(1.0);
+  const api::Json sj =
+      api::Json::parse(obs::Registry::global().snapshot().to_json());
+  EXPECT_EQ(sj.at("counters").at("obs_test.counter" + odd).integer(), 1);
+  EXPECT_EQ(sj.at("gauges").at("obs_test.gauge" + odd).at("value").integer(),
+            2);
+  EXPECT_EQ(
+      sj.at("histograms").at("obs_test.histogram" + odd).at("count").integer(),
+      1);
 }
 
 TEST(TraceTest, DisabledSpanIsBranchOnly) {

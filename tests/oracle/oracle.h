@@ -16,12 +16,16 @@
 //  (b) expansion: a rule base whose rules forward to the originals but
 //      decline the template cache, so every expansion recompiles;
 //  (c) extraction: copy-per-design materialization, where every
-//      AlternativeDesign owns a private copy of every module.
+//      AlternativeDesign owns a private copy of every module;
+//  (d) the JSON codec: byte-at-a-time string escaping and parsing, and
+//      snprintf("%lld" / "%.17g") / strtod numbers.
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "api/json.h"
 #include "dtas/design_space.h"
 #include "dtas/rule.h"
 #include "dtas/synthesizer.h"
@@ -111,5 +115,16 @@ std::vector<dtas::AlternativeDesign> reference_synthesize(
 std::vector<dtas::AlternativeDesign> reference_synthesize_netlist(
     dtas::Synthesizer& synth, const netlist::Module& input,
     long* combinations = nullptr);
+
+// --- (d) JSON codec ---------------------------------------------------------
+
+/// api::Json::dump() as the byte-at-a-time escaper and snprintf numbers
+/// wrote it.
+std::string reference_dump(const api::Json& j);
+
+/// api::Json::parse(text) (default depth cap) as the byte-at-a-time parser
+/// with strtod numbers read it: the same value, or the same ParseError
+/// message, line and column.
+api::Json reference_parse(const std::string& text);
 
 }  // namespace bridge::oracle

@@ -17,6 +17,7 @@
 #include "cells/cell.h"
 #include "cells/registry.h"
 #include "genus/spec.h"
+#include "obs/metrics.h"
 #include "server/protocol.h"
 #include "server/server.h"
 
@@ -208,37 +209,82 @@ TEST_F(ServerTest, OversizedFrameIsRejectedWithoutWedging) {
   EXPECT_TRUE(synthesize_over_wire(port(), req).ok());
 }
 
-TEST_F(ServerTest, OutOfRangeThreadsIsAnErrorAndConnectionServesNext) {
+TEST_F(ServerTest, OutOfRangeFieldIsAnErrorAndConnectionServesNext) {
   // A request asking for more odometer threads than the process can
-  // create used to abort the daemon; now it is an error response naming
-  // the field, and the same connection serves its next request.
+  // create used to abort the daemon, and an int field past int range used
+  // to wrap into a wrong answer with status ok (width 4294967297 as a
+  // 1-bit adder). Each is now an error response naming the field, and the
+  // same connection serves its next request.
   api::SynthesisRequest req;
   req.library = cells::lsi_library().name();
   req.spec = genus::make_adder_spec(8);
-  Json bad = req.encode();
-  bad.set("method", "synthesize");
-  Json options = *bad.find("options");
-  options.set("threads", 2000);
-  bad.set("options", std::move(options));
-
-  const int fd = server::connect_tcp(port());
-  server::write_frame(fd, bad.dump());
-  std::string payload;
-  ASSERT_TRUE(server::read_frame(fd, payload));
-  const api::SynthesisResult rejected =
-      api::SynthesisResult::from_json(payload);
-  EXPECT_EQ(rejected.status, "error");
-  EXPECT_NE(rejected.error.find("threads"), std::string::npos)
-      << rejected.error;
-
-  server::write_frame(fd, synthesize_frame(req));
-  ASSERT_TRUE(server::read_frame(fd, payload));
-  const api::SynthesisResult served = api::SynthesisResult::from_json(payload);
-  server::close_socket(fd);
-  ASSERT_TRUE(served.ok()) << served.error;
   dtas::Synthesizer direct(cells::lsi_library());
-  EXPECT_TRUE(api::front_matches(served, direct.synthesize(*req.spec),
-                                 /*with_vhdl=*/false));
+  const auto want = direct.synthesize(*req.spec);
+  const struct {
+    const char* object;
+    const char* field;
+    double value;
+  } bad[] = {
+      {"options", "threads", 2000},
+      {"options", "max_alternatives_per_node", 4294967297.0},
+      {"options", "max_alternatives_per_node", 0},
+      {"spec", "width", 4294967297.0},
+  };
+  const int fd = server::connect_tcp(port());
+  for (const auto& [object, field, value] : bad) {
+    SCOPED_TRACE(field);
+    Json frame = req.encode();
+    frame.set("method", "synthesize");
+    Json member = *frame.find(object);
+    member.set(field, value);
+    frame.set(object, std::move(member));
+    server::write_frame(fd, frame.dump());
+    std::string payload;
+    ASSERT_TRUE(server::read_frame(fd, payload));
+    const api::SynthesisResult rejected =
+        api::SynthesisResult::from_json(payload);
+    EXPECT_EQ(rejected.status, "error");
+    EXPECT_NE(rejected.error.find(field), std::string::npos) << rejected.error;
+
+    server::write_frame(fd, synthesize_frame(req));
+    ASSERT_TRUE(server::read_frame(fd, payload));
+    const api::SynthesisResult served =
+        api::SynthesisResult::from_json(payload);
+    ASSERT_TRUE(served.ok()) << served.error;
+    EXPECT_TRUE(api::front_matches(served, want, /*with_vhdl=*/false));
+  }
+  server::close_socket(fd);
+}
+
+TEST_F(ServerTest, CodecHistogramsRecordOneSamplePerSynthesizeRequest) {
+  // server.decode_ms (parse + decode) and server.encode_ms (encode +
+  // dump) take one sample per synthesize request, an error reply
+  // included; other methods add none.
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(8);
+  req.options.emit_vhdl = true;
+  api::SynthesisRequest bad = req;
+  bad.options.threads = 2000;
+  constexpr long kRequests = 6;
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const int fd = server::connect_tcp(port());
+  std::string payload;
+  for (long i = 0; i < kRequests; ++i) {
+    server::write_frame(fd, synthesize_frame(i == 2 ? bad : req));
+    ASSERT_TRUE(server::read_frame(fd, payload));
+    EXPECT_EQ(api::SynthesisResult::from_json(payload).ok(), i != 2);
+  }
+  server::write_frame(fd, Json::object().set("method", "health").dump());
+  ASSERT_TRUE(server::read_frame(fd, payload));
+  server::close_socket(fd);
+  const obs::Snapshot d =
+      obs::diff(obs::Registry::global().snapshot(), before);
+  EXPECT_EQ(d.counters.at("server.requests"), kRequests);
+  EXPECT_EQ(d.histograms.at("server.request_ms").count, kRequests);
+  EXPECT_EQ(d.histograms.at("server.decode_ms").count, kRequests);
+  EXPECT_EQ(d.histograms.at("server.encode_ms").count, kRequests);
+  EXPECT_GT(d.histograms.at("server.encode_ms").sum, 0.0);
 }
 
 TEST_F(ServerTest, DeadlineRequestAnsweredBestEffortOrRejectedCleanly) {

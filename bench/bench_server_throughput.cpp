@@ -8,7 +8,7 @@
 // one pays session construction, evaluation and extraction on an empty
 // extraction cache; expansion is served by the process-wide
 // TemplateCache like any production request. Warm is the steady state:
-// default options, per-worker memoized sessions.
+// default options, memoized sessions from the server's shared pool.
 //
 // Every response — cold and warm, at every concurrency — must carry a
 // front byte-identical to in-process Synthesizer::synthesize; the exit
@@ -193,8 +193,8 @@ int main() {
       api::SynthesisRequest req;
       req.library = cells::lsi_library().name();
       req.spec = spec;
-      // Warm every worker slot's session (dispatch is by slot
-      // availability, so oversubscribe a little), unmeasured.
+      // Warm the pool, unmeasured: `workers` concurrent connections
+      // build up to one session per slot, each warm once it has served.
       const std::vector<api::SynthesisRequest> warmup(
           static_cast<std::size_t>(2 * workers), req);
       run_batch(srv.port(), workers, warmup, expect);

@@ -248,9 +248,7 @@ Json encode_options(const RequestOptions& o) {
       .set("max_alternatives_per_node", o.max_alternatives_per_node)
       .set("max_combinations_per_impl", o.max_combinations_per_impl)
       .set("min_delay_gain", o.min_delay_gain)
-      .set("template_cache_budget_bytes", o.template_cache_budget_bytes)
       .set("extraction_cache_budget_bytes", o.extraction_cache_budget_bytes)
-      .set("trace_path", o.trace_path)
       .set("emit_vhdl", o.emit_vhdl)
       .set("include_profile", o.include_profile)
       .set("verify", o.verify);
@@ -282,11 +280,8 @@ RequestOptions decode_options(const Json& j) {
   o.max_combinations_per_impl =
       j.int_or("max_combinations_per_impl", o.max_combinations_per_impl);
   o.min_delay_gain = j.num_or("min_delay_gain", o.min_delay_gain);
-  o.template_cache_budget_bytes = j.int_or("template_cache_budget_bytes",
-                                           o.template_cache_budget_bytes);
   o.extraction_cache_budget_bytes = j.int_or(
       "extraction_cache_budget_bytes", o.extraction_cache_budget_bytes);
-  o.trace_path = j.str_or("trace_path", o.trace_path);
   o.emit_vhdl = j.bool_or("emit_vhdl", o.emit_vhdl);
   o.include_profile = j.bool_or("include_profile", o.include_profile);
   o.verify = j.bool_or("verify", o.verify);
@@ -314,13 +309,11 @@ dtas::SpaceOptions RequestOptions::space_options() const {
   o.threads = checked_threads(threads);
   o.deadline_ms = deadline_ms;
   o.deadline_best_effort = deadline_best_effort;
-  // The unset sentinels (-1 budgets, "" trace path) flow through to the
-  // dtas layer, where they mean exactly "take the BRIDGE_CACHE_BUDGET /
-  // BRIDGE_TRACE environment default" — which is how env vars become
-  // defaults an explicit request field overrides.
-  o.template_cache_budget_bytes = template_cache_budget_bytes;
+  // The unset sentinel (-1) flows through to the dtas layer, where it
+  // means exactly "take the BRIDGE_CACHE_BUDGET environment default" —
+  // which is how the env var becomes a default an explicit request field
+  // overrides.
   o.extraction_cache_budget_bytes = extraction_cache_budget_bytes;
-  o.trace_path = trace_path;
   return o;
 }
 
@@ -329,9 +322,8 @@ std::string RequestOptions::fingerprint() const {
   out << "filter=" << filter << ";alts=" << max_alternatives_per_node
       << ";comb=" << max_combinations_per_impl
       << ";gain=" << format_json_number(min_delay_gain)
-      << ";threads=" << threads << ";tbudget=" << template_cache_budget_bytes
-      << ";xbudget=" << extraction_cache_budget_bytes
-      << ";trace=" << trace_path;
+      << ";threads=" << threads
+      << ";xbudget=" << extraction_cache_budget_bytes;
   return out.str();
 }
 

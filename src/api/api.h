@@ -2,8 +2,8 @@
 //
 // Before this layer, configuring a synthesis meant juggling three
 // mechanisms at once: SpaceOptions fields passed to the Synthesizer
-// constructor, environment variables (BRIDGE_CACHE_BUDGET, BRIDGE_TRACE)
-// read at scattered construction points, and per-call method arguments.
+// constructor, environment variables (BRIDGE_CACHE_BUDGET) read at
+// scattered construction points, and per-call method arguments.
 // SynthesisRequest subsumes all three into one value type with JSON
 // encode/decode, so the in-process API, the examples, the benches, and
 // the server wire protocol all speak the same object — a request that
@@ -15,9 +15,12 @@
 // request field always wins.
 //
 //   field                              unset sentinel   env default
-//   template_cache_budget_bytes        -1               BRIDGE_CACHE_BUDGET
 //   extraction_cache_budget_bytes      -1               BRIDGE_CACHE_BUDGET
-//   trace_path                         ""               BRIDGE_TRACE
+//
+// A request sets nothing process-wide: the span tracer (BRIDGE_TRACE,
+// obs::Tracer::global().start) and the shared TemplateCache's budget
+// (BRIDGE_CACHE_BUDGET, TemplateCache::global().set_budget_bytes) are
+// the process's to configure, never one client's.
 //
 // Determinism: encode() emits every field in a fixed order, so
 // encode(decode(encode(x))) is byte-identical — the protocol golden
@@ -78,9 +81,7 @@ struct RequestOptions {
   int max_alternatives_per_node = 24;
   long max_combinations_per_impl = 100000;
   double min_delay_gain = 0.10;
-  long template_cache_budget_bytes = -1;    // -1 = BRIDGE_CACHE_BUDGET default
   long extraction_cache_budget_bytes = -1;  // -1 = BRIDGE_CACHE_BUDGET default
-  std::string trace_path;                   // "" = BRIDGE_TRACE default
   bool emit_vhdl = false;       // include structural VHDL per alternative
   bool include_profile = false; // include the per-request phase profile
   /// Run the structural linter (src/lint) over every returned design and
@@ -124,7 +125,8 @@ struct SynthesisRequest {
   /// `max_alternatives_per_node` below 1, any other int field that is
   /// not an integer in int range; the message names the field). Unknown
   /// option keys are ignored, so requests from older clients that still
-  /// send the retired evaluator/cache toggles decode unchanged.
+  /// send the retired evaluator/cache toggles, `trace_path` or
+  /// `template_cache_budget_bytes` decode unchanged.
   static SynthesisRequest decode(const Json& j);
   static SynthesisRequest from_json(const std::string& text);
 };

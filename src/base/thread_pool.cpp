@@ -37,9 +37,9 @@ thread_local const ThreadPool* ThreadPool::current_pool_ = nullptr;
 namespace {
 
 /// Scoped set/restore of a thread-local pool marker. Restore (rather than
-/// clear) keeps cross-pool nesting honest: a design-space pool task that
-/// itself runs on a server pool thread must restore the server pool as
-/// the thread's context, not null.
+/// clear) keeps cross-pool nesting honest: a task of one pool that runs
+/// another pool's batch as its caller must get the outer pool back as the
+/// thread's context, not null.
 struct CurrentPoolScope {
   const ThreadPool*& slot;
   const ThreadPool* prev;
@@ -163,64 +163,12 @@ void ThreadPool::run(int num_tasks, const std::function<void(int, int)>& fn) {
   }
 }
 
-void ThreadPool::submit(std::function<void(int)> fn) {
-  {
-    LockGuard lock(mu_);
-    submitted_.push_back(std::move(fn));
-    peak_queue_depth_ = std::max(
-        peak_queue_depth_,
-        static_cast<int>(submitted_.size()) + submitted_in_flight_);
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::drain() {
-  UniqueLock lock(mu_);
-  while (!submitted_.empty() || submitted_in_flight_ != 0) {
-    done_cv_.wait(lock);
-  }
-}
-
 void ThreadPool::worker_loop(int slot) {
   long seen = 0;
   UniqueLock lock(mu_);
   for (;;) {
-    while (!(stop_ || !submitted_.empty() ||
-             (generation_ != seen && next_task_ < num_tasks_))) {
+    while (!(stop_ || (generation_ != seen && next_task_ < num_tasks_))) {
       work_cv_.wait(lock);
-    }
-    if (!submitted_.empty()) {
-      std::function<void(int)> task = std::move(submitted_.front());
-      submitted_.pop_front();
-      ++submitted_in_flight_;
-      lock.unlock();
-      {
-        obs::Span span("pool.task", "base");
-        const std::int64_t t0 = obs::Tracer::now_ns();
-        CurrentPoolScope nested_guard(current_pool_, this);
-        try {
-          // No fault probe here: a fault that fired before task(slot)
-          // would skip the task entirely, and submitted tasks have
-          // waiters (a server reader blocked on its completion signal)
-          // that a skipped task would strand. Submitted work carries its
-          // own probe sites inside the task body ("server.request").
-          task(slot);
-        } catch (...) {
-          // Submitted tasks have no join point to rethrow from; their
-          // contract is to not throw, so a stray exception dies here
-          // rather than poison an unrelated run().
-        }
-        PoolMetrics::get().task_latency_us.record(
-            static_cast<double>(obs::Tracer::now_ns() - t0) / 1000.0);
-      }
-      lock.lock();
-      ++tasks_executed_;
-      PoolMetrics::get().tasks.add(1);
-      --submitted_in_flight_;
-      if (submitted_.empty() && submitted_in_flight_ == 0) {
-        done_cv_.notify_all();
-      }
-      continue;
     }
     if (stop_) return;
     seen = generation_;

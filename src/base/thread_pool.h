@@ -1,8 +1,8 @@
 // A persistent pool of worker threads for blocking fork-join loops.
 //
-// The design-space odometer (see dtas/design_space.cpp) is the motivating
-// user: it repeatedly fans a contiguous combination range out into shards,
-// and spawning std::threads per odometer call would cost more than a small
+// The design-space odometer (see dtas/design_space.cpp) is the one user:
+// it repeatedly fans a contiguous combination range out into shards, and
+// spawning std::threads per odometer call would cost more than a small
 // shard is worth. The pool keeps its workers parked on a condition
 // variable between runs, so the steady-state cost of a fork-join is two
 // lock acquisitions per task.
@@ -21,12 +21,10 @@
 // tracks which pool the current thread is executing for, and a same-pool
 // nested run() throws bridge::Error instead of deadlocking (the outer
 // batch still drains and the pool stays usable). Nesting across pools is
-// fine and gets the inner pool's full parallelism: a server worker (a
-// task of the server's pool) drives a design space whose odometer shards
-// run on the space's own pool.
+// fine and gets the inner pool's full parallelism.
 #pragma once
 
-#include <deque>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -74,25 +72,10 @@ class ThreadPool {
     run(num_tasks, [&fn](int task, int) { fn(task); });
   }
 
-  /// Queue one task for whichever worker frees up first; returns
-  /// immediately. This is the server-scheduler mode: unlike run(), the
-  /// caller does not participate, so `fn` executes on a worker slot in
-  /// 1..workers() — a pool used this way needs workers() >= 1. Callers
-  /// keeping per-slot state (one synthesis session per worker) index it
-  /// by the slot argument. `fn` must not throw; anything it does throw
-  /// is swallowed (submitted tasks have no join point to rethrow from).
-  /// submit() and run() may not be used concurrently on one pool.
-  void submit(std::function<void(int)> fn);
-
-  /// Block until every submitted task has finished (queued and in
-  /// flight). Safe to call with none outstanding.
-  void drain();
-
  private:
   void worker_loop(int slot);
 
-  /// Tell every worker to exit (after finishing queued submitted tasks)
-  /// and join them.
+  /// Tell every worker to exit and join them.
   void stop_and_join();
 
   /// Invoke fn, capturing the first exception instead of letting it
@@ -100,10 +83,9 @@ class ThreadPool {
   void invoke(const std::function<void(int, int)>& fn, int task, int slot);
 
   /// The pool (if any) the current thread is executing a task for — set
-  /// around every fork-join invoke and submitted-task body, consulted by
-  /// run() to reject same-pool nesting. Thread-local so concurrent tasks
-  /// on different pools (a server worker driving a design-space pool)
-  /// stay independent.
+  /// around every task invoke, consulted by run() to reject same-pool
+  /// nesting. Thread-local so concurrent tasks on different pools stay
+  /// independent.
   static thread_local const ThreadPool* current_pool_;
 
   mutable Mutex mu_;
@@ -119,11 +101,6 @@ class ThreadPool {
   int pending_ BRIDGE_GUARDED_BY(mu_) = 0;
   long generation_ BRIDGE_GUARDED_BY(mu_) = 0;
   bool stop_ BRIDGE_GUARDED_BY(mu_) = false;
-  // Queued-task mode (submit/drain). Workers prefer the queue over a
-  // fork-join generation and, on shutdown, finish every queued task
-  // before exiting — a submitted task is never silently dropped.
-  std::deque<std::function<void(int)>> submitted_ BRIDGE_GUARDED_BY(mu_);
-  int submitted_in_flight_ BRIDGE_GUARDED_BY(mu_) = 0;
   // Introspection (mirrored into obs::Registry under
   // "base.thread_pool.*" so the metrics layer sees every pool at once).
   long tasks_executed_ BRIDGE_GUARDED_BY(mu_) = 0;

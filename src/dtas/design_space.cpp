@@ -294,13 +294,6 @@ DesignSpace::DesignSpace(const RuleBase& rules,
     threads_ = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
   }
-  if (!options_.trace_path.empty()) {
-    obs::Tracer::global().start(options_.trace_path);
-  }
-  if (options_.template_cache_budget_bytes >= 0) {
-    TemplateCache::global().set_budget_bytes(
-        static_cast<std::size_t>(options_.template_cache_budget_bytes));
-  }
   arm_deadline();
 }
 

@@ -107,14 +107,13 @@ struct CompiledTemplate {
 ///
 /// Lifecycle: entries are shared_ptr-owned and byte-accounted. With no
 /// budget set (the default) the cache is effectively append-only, as
-/// before. Under a budget (set_budget_bytes / SpaceOptions::
-/// template_cache_budget_bytes / BRIDGE_CACHE_BUDGET) the key space is
-/// sharded and each shard evicts least-recently-used entries down to its
-/// slice of the budget — but never an entry pinned by a live synthesis:
-/// an entry whose vector (or any inner template/plan) is referenced
-/// outside the cache is skipped, so eviction can only reclaim memory, not
-/// invalidate anything a DesignSpace still points at. Callers hold the
-/// returned shared_ptr while iterating.
+/// before. Under a budget (set_budget_bytes / BRIDGE_CACHE_BUDGET) the
+/// key space is sharded and each shard evicts least-recently-used entries
+/// down to its slice of the budget — but never an entry pinned by a live
+/// synthesis: an entry whose vector (or any inner template/plan) is
+/// referenced outside the cache is skipped, so eviction can only reclaim
+/// memory, not invalidate anything a DesignSpace still points at. Callers
+/// hold the returned shared_ptr while iterating.
 class TemplateCache {
  public:
   using EntryPtr = std::shared_ptr<const std::vector<CompiledTemplate>>;
@@ -284,15 +283,6 @@ struct SpaceOptions {
   /// Shards per thread above the minimum shard size — more shards than
   /// threads lets dynamic task claiming level uneven prune rates.
   int shards_per_thread = 4;
-  /// Non-empty: start the process span tracer (obs::Tracer) into this
-  /// file when the space is constructed, as if BRIDGE_TRACE had been set
-  /// — the programmatic hook for tracing one synthesis. The first path
-  /// the process starts with wins (the tracer is process-wide); the
-  /// trace is written at process exit or by obs::Tracer::global().stop().
-  /// Tracing never changes results: fronts, descriptions, and VHDL are
-  /// byte-identical with tracing on or off at every thread count
-  /// (tests/obs_test.cpp pins this).
-  std::string trace_path;
   /// Wall-clock budget per synthesize call, in milliseconds; 0 means
   /// unbounded. The deadline is polled cooperatively at coarse
   /// checkpoints (per rule application, per 1024 odometer loop steps —
@@ -311,11 +301,6 @@ struct SpaceOptions {
   /// External kill switch polled alongside the deadline (see
   /// base/cancel.h); may be shared across requests. Null = none.
   std::shared_ptr<base::CancelToken> cancel;
-  /// Byte budget applied to the process-wide TemplateCache at space
-  /// construction: -1 (default) leaves the process setting alone, 0 sets
-  /// it unbounded, > 0 sets the budget. Process-wide — the last space to
-  /// set it wins.
-  long template_cache_budget_bytes = -1;
   /// Byte budget of the owning Synthesizer's ExtractionCache: -1 takes
   /// the BRIDGE_CACHE_BUDGET env default (unbounded when unset), 0 is
   /// unbounded, > 0 is the budget.

@@ -17,9 +17,9 @@
 // odometer-run / pool-task granularity).
 //
 // Enabling: set BRIDGE_TRACE=<path> in the environment before the first
-// span (the trace is written at process exit), call
-// Tracer::global().start(path) programmatically, or set
-// dtas::SpaceOptions::trace_path on one synthesis.
+// span (the trace is written at process exit), or call
+// Tracer::global().start(path) programmatically. The tracer is
+// process-wide, so only the process turns it on; no request can.
 #pragma once
 
 #include <atomic>

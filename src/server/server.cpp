@@ -28,6 +28,16 @@ struct ServerMetrics {
       obs::Registry::global().histogram("server.decode_ms");
   obs::Histogram& encode_ms =
       obs::Registry::global().histogram("server.encode_ms");
+  // Per synthesize request that reached dispatch: the wait for a free
+  // synthesis slot.
+  obs::Histogram& slot_wait_ms =
+      obs::Registry::global().histogram("server.slot_wait_ms");
+  // Requests holding a slot; the peak never exceeds `workers`.
+  obs::Gauge& in_flight = obs::Registry::global().gauge("server.in_flight");
+  // Sessions the servers hold (idle or checked out), and cold builds.
+  obs::Gauge& sessions = obs::Registry::global().gauge("server.sessions");
+  obs::Counter& sessions_built =
+      obs::Registry::global().counter("server.sessions_built");
 
   static ServerMetrics& get() {
     static ServerMetrics m;
@@ -48,6 +58,29 @@ std::string finish_response(api::Json response, const api::Json* id) {
   return response.dump();
 }
 
+/// Sessions are keyed by library *content* (fingerprint), not name:
+/// re-registering a library with identical cells — the common "reload the
+/// same .lib" retargeting loop — maps back onto its warm session, while
+/// any content edit gets a fresh one. The rules flavor rides along
+/// because default_rules_for picks rule sets by library, and two
+/// content-divergent libraries could otherwise only differ outside the
+/// options fingerprint. Best-effort-bounded requests get a segregated
+/// session: a deadline that fires mid-expansion leaves truncated
+/// best-effort state in the space (documented in tests/deadline_test.cpp),
+/// which must never degrade a later full-precision request. Hard
+/// deadlines are safe to share — expiry throws with strong exception
+/// safety.
+std::string session_key(const api::SynthesisRequest& req,
+                        const cells::CellLibrary& library) {
+  const bool truncating =
+      req.options.deadline_ms > 0 && req.options.deadline_best_effort;
+  std::ostringstream key;
+  key << "fp:" << std::hex << library.fingerprint() << std::dec
+      << "|rules:" << dtas::default_rules_flavor(library) << "|"
+      << req.options.fingerprint() << (truncating ? "|best-effort" : "");
+  return key.str();
+}
+
 }  // namespace
 
 SynthesisServer::SynthesisServer(const cells::LibraryRegistry& registry,
@@ -58,6 +91,7 @@ SynthesisServer::SynthesisServer(const cells::LibraryRegistry& registry,
     workers_ = static_cast<int>(std::thread::hardware_concurrency());
   }
   if (workers_ < 1) workers_ = 1;
+  free_slots_ = workers_;
 }
 
 SynthesisServer::~SynthesisServer() { stop(); }
@@ -75,9 +109,6 @@ void SynthesisServer::start() {
     port_ = options_.tcp_port;
     listen_fd_ = listen_tcp(port_);
   }
-  pool_ = std::make_unique<base::ThreadPool>(workers_);
-  sessions_.clear();
-  sessions_.resize(static_cast<std::size_t>(workers_) + 1);
   started_at_ = std::chrono::steady_clock::now();
   stopping_.store(false);
   running_.store(true);
@@ -109,11 +140,20 @@ void SynthesisServer::stop() {
     if (conn->thread.joinable()) conn->thread.join();
   }
   conns.clear();
-  if (pool_ != nullptr) pool_->drain();
   close_socket(listen_fd_);
   listen_fd_ = -1;
+  // Every request ran on a joined reader, so every session is idle.
   // Sessions (and their warm caches) die with the server, not with a
-  // connection. The pool dies after them in the destructor.
+  // connection.
+  {
+    base::LockGuard lock(sessions_mu_);
+    long dropped = 0;
+    for (const auto& [key, idle] : idle_sessions_) {
+      dropped += static_cast<long>(idle.size());
+    }
+    idle_sessions_.clear();
+    ServerMetrics::get().sessions.add(-dropped);
+  }
   request_shutdown();  // release any wait()ers
 }
 
@@ -278,74 +318,70 @@ std::string SynthesisServer::handle_message(
 api::SynthesisResult SynthesisServer::dispatch_synthesize(
     const api::SynthesisRequest& req,
     const std::shared_ptr<base::CancelToken>& cancel) {
-  // One queued pool task per request; the reader blocks here, so each
-  // connection has exactly one request in flight and responses keep
-  // request order.
-  struct Pending {
-    base::Mutex mu;
-    base::CondVar cv;
-    bool done BRIDGE_GUARDED_BY(mu) = false;
-    api::SynthesisResult result BRIDGE_GUARDED_BY(mu);
-  } pending;
-  pool_->submit([this, &req, &cancel, &pending](int slot) {
-    api::SynthesisResult r = run_on_worker(req, slot, cancel);
-    // Notify while holding the lock: once it is released the reader may
-    // see `done`, return and destroy `pending`, so nothing may touch it
-    // after the unlock.
-    base::LockGuard lock(pending.mu);
-    pending.result = std::move(r);
-    pending.done = true;
-    pending.cv.notify_one();
-  });
-  base::UniqueLock lock(pending.mu);
-  while (!pending.done) pending.cv.wait(lock);
-  return std::move(pending.result);
+  // The reader runs its own request, so each connection has exactly one
+  // request in flight and responses keep request order.
+  ServerMetrics& metrics = ServerMetrics::get();
+  const auto wait_t0 = std::chrono::steady_clock::now();
+  base::UniqueLock lock(slots_mu_);
+  while (free_slots_ == 0) slots_cv_.wait(lock);
+  --free_slots_;
+  lock.unlock();
+  struct SlotRelease {
+    SynthesisServer& server;
+    ~SlotRelease() {
+      // Leave the gauge before the slot is free, so its peak never
+      // exceeds the slot count.
+      ServerMetrics::get().in_flight.add(-1);
+      {
+        base::LockGuard lock(server.slots_mu_);
+        ++server.free_slots_;
+      }
+      server.slots_cv_.notify_one();
+    }
+  } release{*this};
+  metrics.in_flight.add(1);
+  metrics.slot_wait_ms.record(ms_since(wait_t0));
+  return run_in_session(req, cancel);
 }
 
-api::SynthesisResult SynthesisServer::run_on_worker(
-    const api::SynthesisRequest& req, int slot,
+api::SynthesisResult SynthesisServer::run_in_session(
+    const api::SynthesisRequest& req,
     const std::shared_ptr<base::CancelToken>& cancel) {
   try {
     // Deterministic fault-injection probe: an armed fault here takes the
     // same path as any failing request — an error response, never a
-    // wedged worker (tests/server_test.cpp pins this).
+    // lost slot (tests/server_test.cpp pins this).
     base::FaultInjector::global().probe("server.request");
     const cells::CellLibrary* library = registry_.find(req.library);
     if (library == nullptr) {
       registry_.at(req.library);  // throws, listing the known names
     }
-    auto& sessions = sessions_.at(static_cast<std::size_t>(slot));
-    // Best-effort-bounded requests get a segregated session: a deadline
-    // that fires mid-expansion leaves truncated best-effort state in the
-    // space (documented in tests/deadline_test.cpp), which must never
-    // degrade a later full-precision request. Hard deadlines are safe to
-    // share — expiry throws with strong exception safety.
-    const bool truncating = req.options.deadline_ms > 0 &&
-                            req.options.deadline_best_effort;
-    // Sessions are keyed by library *content* (fingerprint), not name:
-    // re-registering a library with identical cells — the common "reload
-    // the same .lib" retargeting loop — maps back onto its warm session,
-    // while any content edit gets a fresh one. The rules flavor rides
-    // along because default_rules_for picks rule sets by library, and two
-    // content-divergent libraries could otherwise only differ outside the
-    // options fingerprint.
-    std::ostringstream key_out;
-    key_out << "fp:" << std::hex << library->fingerprint() << std::dec
-            << "|rules:" << dtas::default_rules_flavor(*library) << "|"
-            << req.options.fingerprint()
-            << (truncating ? "|best-effort" : "");
-    const std::string key = key_out.str();
-    auto it = sessions.find(key);
-    if (it == sessions.end()) {
-      it = sessions.emplace(key, api::make_session(req, *library)).first;
+    const std::string key = session_key(req, *library);
+    std::unique_ptr<dtas::Synthesizer> session;
+    {
+      base::LockGuard lock(sessions_mu_);
+      auto it = idle_sessions_.find(key);
+      if (it != idle_sessions_.end() && !it->second.empty()) {
+        session = std::move(it->second.back());
+        it->second.pop_back();
+      }
     }
-    dtas::Synthesizer& session = *it->second;
+    if (session == nullptr) {
+      session = api::make_session(req, *library);
+      ServerMetrics::get().sessions_built.add(1);
+      ServerMetrics::get().sessions.add(1);
+    }
     // Install this connection's kill switch; run_request then layers the
     // request's deadline on top of it.
-    session.space().set_deadline_policy(req.options.deadline_ms,
-                                        req.options.deadline_best_effort,
-                                        cancel);
-    return api::run_request(req, session);
+    session->space().set_deadline_policy(req.options.deadline_ms,
+                                         req.options.deadline_best_effort,
+                                         cancel);
+    api::SynthesisResult result = api::run_request(req, *session);
+    {
+      base::LockGuard lock(sessions_mu_);
+      idle_sessions_[key].push_back(std::move(session));
+    }
+    return result;
   } catch (const std::exception& e) {
     return api::SynthesisResult::make_error("error", e.what());
   }

@@ -2,19 +2,23 @@
 //
 // One process-long daemon amortizes the warm state the paper's one-shot
 // flow rebuilds per run: the process-wide dtas::TemplateCache (shared by
-// every session) and one dtas::Synthesizer per worker slot and distinct
-// (library, space-shaping options) — so concurrent clients asking for
+// every session) and a shared pool of dtas::Synthesizer sessions keyed
+// by (library content, space-shaping options) — so requests asking for
 // the same kind of synthesis hit fully warm template and extraction
-// caches after the first request, and fronts stay byte-identical to
-// in-process synthesis (bench_server_throughput gates on both).
+// caches after the first one, whichever connection they arrive on, and
+// fronts stay byte-identical to in-process synthesis
+// (bench_server_throughput gates on both).
 //
 // Threading model:
 //  - one accept thread;
 //  - one reader thread per connection, handling health / metrics /
-//    shutdown inline and dispatching synthesize requests to the pool;
-//  - a base::ThreadPool of `workers` threads executing synthesis, one
-//    queued task per request (ThreadPool::submit), with per-worker-slot
-//    session maps no lock ever touches from two threads.
+//    shutdown inline and running each synthesize request itself once it
+//    holds one of `workers` synthesis slots, so at most `workers`
+//    syntheses run at once;
+//  - one session pool under one mutex: a request checks out an idle
+//    session for its key (building one, outside the lock, on a miss),
+//    runs on it alone and checks it back in. A session serves one
+//    request at a time, and at most `workers` sessions exist per key.
 //
 // A connection has at most one request in flight (responses are written
 // in request order), so client concurrency is connection concurrency.
@@ -34,7 +38,6 @@
 #include "api/api.h"
 #include "base/annotations.h"
 #include "base/cancel.h"
-#include "base/thread_pool.h"
 #include "cells/registry.h"
 #include "server/protocol.h"
 
@@ -47,7 +50,8 @@ struct ServerOptions {
   /// TCP loopback port; 0 picks an ephemeral port (read it back via
   /// port() after start()).
   int tcp_port = 0;
-  /// Synthesis worker threads; 0 = hardware concurrency. At least 1.
+  /// Synthesis slots: how many requests synthesize at once; 0 = hardware
+  /// concurrency. At least 1.
   int workers = 0;
   /// Per-frame payload cap (see protocol.h).
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -68,7 +72,7 @@ class SynthesisServer {
   void start();
 
   /// Stop accepting, cancel in-flight requests, unblock and join every
-  /// connection, drain the pool. Idempotent.
+  /// connection, drop the sessions. Idempotent.
   void stop();
 
   /// Block until a client's shutdown request (or stop()) arrives.
@@ -97,13 +101,15 @@ class SynthesisServer {
   std::string handle_message(const std::string& payload,
                              const std::shared_ptr<base::CancelToken>& cancel,
                              bool& shutdown_after);
+  /// Wait for a free synthesis slot, run the request on the calling
+  /// thread, and free the slot on every path out.
   api::SynthesisResult dispatch_synthesize(
       const api::SynthesisRequest& req,
       const std::shared_ptr<base::CancelToken>& cancel);
-  /// Runs on a pool worker: resolve the session for (slot, library,
-  /// options fingerprint) and execute.
-  api::SynthesisResult run_on_worker(
-      const api::SynthesisRequest& req, int slot,
+  /// Holding a slot: check out (or build) a session for the request's
+  /// key, execute, and check the session back in.
+  api::SynthesisResult run_in_session(
+      const api::SynthesisRequest& req,
       const std::shared_ptr<base::CancelToken>& cancel);
   void request_shutdown();
 
@@ -120,12 +126,14 @@ class SynthesisServer {
   base::Mutex conns_mu_;
   std::vector<std::unique_ptr<Connection>> conns_ BRIDGE_GUARDED_BY(conns_mu_);
 
-  /// Workers and their sessions. sessions_[slot] is touched only by the
-  /// pool worker owning that slot (slots are 1..workers_), so the maps
-  /// need no locks; the pool outlives every request by construction.
-  std::unique_ptr<base::ThreadPool> pool_;
-  std::vector<std::map<std::string, std::unique_ptr<dtas::Synthesizer>>>
-      sessions_;
+  base::Mutex slots_mu_;
+  base::CondVar slots_cv_;
+  int free_slots_ BRIDGE_GUARDED_BY(slots_mu_) = 0;
+
+  /// Idle sessions by key; a checked-out session is in no vector.
+  base::Mutex sessions_mu_;
+  std::map<std::string, std::vector<std::unique_ptr<dtas::Synthesizer>>>
+      idle_sessions_ BRIDGE_GUARDED_BY(sessions_mu_);
 
   base::Mutex shutdown_mu_;
   base::CondVar shutdown_cv_;

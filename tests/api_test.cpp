@@ -337,8 +337,10 @@ TEST(ApiRequestTest, IntegerOutsideLongRangeIsOutOfRange) {
 
 TEST(ApiRequestTest, RetiredToggleKeysAreIgnored) {
   // Requests from clients that still send the five retired evaluator /
-  // cache toggles (all output-invariant by contract) decode to the same
-  // options and session fingerprint, and run to a byte-identical result.
+  // cache toggles (all output-invariant by contract) or the two retired
+  // process-wide knobs (trace_path, template_cache_budget_bytes) decode
+  // to the same options and session fingerprint, and run to a
+  // byte-identical result.
   const std::string plain =
       R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":16},)"
       R"("options":{"emit_vhdl":true}})";
@@ -346,15 +348,18 @@ TEST(ApiRequestTest, RetiredToggleKeysAreIgnored) {
       R"({"library":"LSI_LGC15","spec":{"kind":"ADDER","width":16},)"
       R"("options":{"emit_vhdl":true,"use_compiled_plan":false,)"
       R"("node_parallel":false,"delta_cache_keys":false,)"
-      R"("use_template_cache":false,"use_extraction_cache":false}})";
+      R"("use_template_cache":false,"use_extraction_cache":false,)"
+      R"("trace_path":"retired_trace.json",)"
+      R"("template_cache_budget_bytes":1}})";
   const api::SynthesisRequest a = api::SynthesisRequest::from_json(plain);
   const api::SynthesisRequest b = api::SynthesisRequest::from_json(retired);
   EXPECT_EQ(a.options, b.options);
   EXPECT_EQ(a.options.fingerprint(), b.options.fingerprint());
   EXPECT_EQ(a.to_json(), b.to_json());
-  for (const char* key : {"use_compiled_plan", "node_parallel",
-                          "delta_cache_keys", "use_template_cache",
-                          "use_extraction_cache"}) {
+  for (const char* key :
+       {"use_compiled_plan", "node_parallel", "delta_cache_keys",
+        "use_template_cache", "use_extraction_cache", "trace_path",
+        "template_cache_budget_bytes"}) {
     EXPECT_EQ(b.to_json().find(key), std::string::npos)
         << "encode() still emits " << key;
   }

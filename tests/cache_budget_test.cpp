@@ -148,8 +148,9 @@ TEST(CacheBudgetTest, UnhitBudgetsAreByteIdenticalWithZeroEvictions) {
   dtas::Synthesizer plain(cells::lsi_library());
   const FrontRecord expect = record_front(plain.synthesize(spec));
 
+  // Far above the working set.
+  TemplateCache::global().set_budget_bytes(1L << 30);
   SpaceOptions opt;
-  opt.template_cache_budget_bytes = 1L << 30;  // far above working set
   opt.extraction_cache_budget_bytes = 1L << 30;
   dtas::Synthesizer budgeted(cells::lsi_library(), opt);
   const auto evictions_before = TemplateCache::global().snapshot().evictions;

@@ -1,12 +1,13 @@
 // The synthesis server: lifecycle, concurrent clients against shared
-// warm caches (fronts byte-identical to in-process synthesis), deadline
-// requests, malformed/oversized frame rejection, client disconnects, and
-// fault injection — none of which may wedge the pool or corrupt shared
-// caches.
+// warm caches (fronts byte-identical to in-process synthesis), the slot
+// gate and the shared session pool, deadline requests, malformed/oversized
+// frame rejection, client disconnects, and fault injection — none of which
+// may lose a synthesis slot or corrupt shared caches.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "cells/registry.h"
 #include "genus/spec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/protocol.h"
 #include "server/server.h"
 
@@ -54,9 +56,15 @@ class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     registry_ = cells::LibraryRegistry::with_builtins();
+    start_server(2);  // explicit, whatever the core count
+  }
+
+  /// (Re)start the fixture's server with `workers` synthesis slots.
+  void start_server(int workers) {
+    if (server_) server_->stop();
     server::ServerOptions options;
     options.tcp_port = 0;  // ephemeral
-    options.workers = 2;   // explicit: the container reports 1 core
+    options.workers = workers;
     server_ = std::make_unique<server::SynthesisServer>(registry_, options);
     server_->start();
   }
@@ -323,7 +331,7 @@ TEST_F(ServerTest, ClientDisconnectMidRequestDoesNotWedgeThePool) {
   server::write_frame(fd, synthesize_frame(req));
   server::close_socket(fd);
 
-  // The pool digests it; subsequent clients are served correctly.
+  // The server digests it; subsequent clients are served correctly.
   req.spec = genus::make_adder_spec(16);
   const api::SynthesisResult res = synthesize_over_wire(port(), req);
   ASSERT_TRUE(res.ok()) << res.error;
@@ -378,10 +386,9 @@ TEST_F(ServerTest, SeededFaultRunNeitherWedgesPoolNorCorruptsCaches) {
 }
 
 TEST_F(ServerTest, ManyShortRequestsOverSeveralConnections) {
-  // Warm, sub-millisecond requests back to back on persistent connections:
-  // the pattern where a reader wakes, returns and reuses its stack the
-  // moment the worker publishes a result. Every answer must arrive, in
-  // order, byte-identical to in-process synthesis.
+  // Warm, sub-millisecond requests back to back on persistent connections,
+  // so slots are taken and freed at a high rate. Every answer must arrive,
+  // in order, byte-identical to in-process synthesis.
   const genus::ComponentSpec specs[] = {genus::make_adder_spec(4),
                                         genus::make_mux_spec(4, 2)};
   dtas::Synthesizer direct(cells::lsi_library());
@@ -431,6 +438,172 @@ TEST_F(ServerTest, ManyShortRequestsOverSeveralConnections) {
   EXPECT_EQ(server_->errors_returned(), 0);
 }
 
+TEST_F(ServerTest, RequestCannotChangeProcessWideState) {
+  // The span tracer and the shared TemplateCache's budget belong to the
+  // process. A request naming a trace file and a 1-byte template budget
+  // is served, and neither setting moves: decode ignores both keys.
+  const bool traced_before = obs::Tracer::enabled();
+  const std::size_t budget_before = dtas::TemplateCache::global().budget_bytes();
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(8);
+  Json frame = req.encode();
+  frame.set("method", "synthesize");
+  Json options = *frame.find("options");
+  options.set("trace_path", ::testing::TempDir() + "server_request_trace.json")
+      .set("template_cache_budget_bytes", 1);
+  frame.set("options", std::move(options));
+  const api::SynthesisResult res =
+      api::SynthesisResult::from_json(rpc(port(), frame.dump()));
+  EXPECT_TRUE(res.ok()) << res.error;
+  EXPECT_EQ(obs::Tracer::enabled(), traced_before);
+  EXPECT_EQ(dtas::TemplateCache::global().budget_bytes(), budget_before);
+}
+
+TEST_F(ServerTest, SequentialRequestsShareOneWarmSession) {
+  // Requests that do not overlap share one warm session, whichever
+  // connection they come from: eight connections in turn, against four
+  // slots, build one session, and every reply after the first is warm.
+  start_server(4);
+  obs::Counter& built =
+      obs::Registry::global().counter("server.sessions_built");
+  obs::Gauge& sessions = obs::Registry::global().gauge("server.sessions");
+  const long built_before = built.value();
+  const long sessions_before = sessions.value();
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_alu_spec(16, genus::alu16_ops());
+  for (int i = 0; i < 8; ++i) {
+    SCOPED_TRACE(i);
+    const api::SynthesisResult res = synthesize_over_wire(port(), req);
+    ASSERT_TRUE(res.ok()) << res.error;
+    if (i == 0) {
+      EXPECT_GT(res.stats.extraction_cache_misses, 0);
+      continue;
+    }
+    EXPECT_EQ(res.stats.extraction_cache_misses, 0);
+    EXPECT_EQ(res.stats.combinations_evaluated, 0);
+  }
+  EXPECT_EQ(built.value() - built_before, 1);
+  EXPECT_EQ(sessions.value() - sessions_before, 1);
+  server_->stop();  // the server drops its sessions
+  EXPECT_EQ(sessions.value(), sessions_before);
+}
+
+TEST_F(ServerTest, ConcurrentRequestsNeverExceedWorkers) {
+  // Eight connections, two libraries, two option sets, three specs, all
+  // against the fixture's two slots: at most two requests synthesize at
+  // once, a key never holds more sessions than there are slots, and
+  // every front matches in-process synthesis.
+  const std::string libraries[] = {cells::lsi_library().name(),
+                                   cells::ttl_library().name()};
+  const genus::ComponentSpec specs[] = {
+      genus::make_adder_spec(16),
+      genus::make_mux_spec(8, 4),
+      genus::make_alu_spec(16, genus::alu16_ops()),
+  };
+  auto options_for = [](int variant) {
+    api::RequestOptions o;
+    if (variant == 1) o.max_alternatives_per_node = 8;
+    return o;
+  };
+  constexpr int kConnections = 8;
+  constexpr int kRequestsPerConnection = 3;
+  std::vector<std::vector<api::SynthesisRequest>> plans(kConnections);
+  std::set<std::string> keys;
+  for (int c = 0; c < kConnections; ++c) {
+    for (int r = 0; r < kRequestsPerConnection; ++r) {
+      api::SynthesisRequest req;
+      req.library = libraries[c % 2];
+      req.spec = specs[(c + r) % 3];
+      req.options = options_for((c / 2) % 2);
+      keys.insert(req.library + "|" + req.options.fingerprint());
+      plans[c].push_back(std::move(req));
+    }
+  }
+  // In-process references, one fresh session per (library, options).
+  auto expected_front = [&](const api::SynthesisRequest& req) {
+    dtas::Synthesizer direct(registry_.at(req.library),
+                             req.options.space_options());
+    return direct.synthesize(*req.spec);
+  };
+
+  obs::Gauge& in_flight = obs::Registry::global().gauge("server.in_flight");
+  in_flight.reset();
+  obs::Counter& built =
+      obs::Registry::global().counter("server.sessions_built");
+  const long built_before = built.value();
+  std::vector<std::vector<api::SynthesisResult>> results(kConnections);
+  std::vector<std::string> errors(kConnections);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = server::connect_tcp(port());
+      try {
+        for (const api::SynthesisRequest& req : plans[c]) {
+          server::write_frame(fd, synthesize_frame(req));
+          std::string payload;
+          if (!server::read_frame(fd, payload)) {
+            throw Error("connection closed mid-plan");
+          }
+          results[c].push_back(api::SynthesisResult::from_json(payload));
+        }
+      } catch (const std::exception& e) {
+        errors[c] = e.what();
+      }
+      server::close_socket(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < kConnections; ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_EQ(errors[c], "");
+    ASSERT_EQ(results[c].size(), plans[c].size());
+    for (std::size_t r = 0; r < plans[c].size(); ++r) {
+      ASSERT_TRUE(results[c][r].ok()) << results[c][r].error;
+      EXPECT_TRUE(api::front_matches(results[c][r],
+                                     expected_front(plans[c][r]),
+                                     /*with_vhdl=*/false))
+          << "request " << r << " differs from in-process synthesis";
+    }
+  }
+  EXPECT_GE(in_flight.peak(), 1);
+  EXPECT_LE(in_flight.peak(), 2);
+  EXPECT_EQ(in_flight.value(), 0);
+  const long built_now = built.value() - built_before;
+  EXPECT_GE(built_now, static_cast<long>(keys.size()));
+  EXPECT_LE(built_now, 2 * static_cast<long>(keys.size()));
+}
+
+TEST_F(ServerTest, FailedSessionBuildFreesItsSlot) {
+  // An unknown filter name decodes but fails the session build. With one
+  // slot, a build failure that kept its slot would leave the next
+  // request on the connection waiting forever.
+  start_server(1);
+  api::SynthesisRequest req;
+  req.library = cells::lsi_library().name();
+  req.spec = genus::make_adder_spec(8);
+  api::SynthesisRequest bad = req;
+  bad.options.filter = "bogus";
+  const int fd = server::connect_tcp(port());
+  std::string payload;
+  server::write_frame(fd, synthesize_frame(bad));
+  ASSERT_TRUE(server::read_frame(fd, payload));
+  const api::SynthesisResult rejected = api::SynthesisResult::from_json(payload);
+  EXPECT_EQ(rejected.status, "error");
+  EXPECT_NE(rejected.error.find("bogus"), std::string::npos) << rejected.error;
+
+  server::write_frame(fd, synthesize_frame(req));
+  ASSERT_TRUE(server::read_frame(fd, payload));
+  server::close_socket(fd);
+  const api::SynthesisResult served = api::SynthesisResult::from_json(payload);
+  ASSERT_TRUE(served.ok()) << served.error;
+  dtas::Synthesizer direct(cells::lsi_library());
+  EXPECT_TRUE(api::front_matches(served, direct.synthesize(*req.spec),
+                                 /*with_vhdl=*/false));
+}
+
 TEST_F(ServerTest, ShutdownMethodUnblocksWait) {
   std::thread waiter([this] { server_->wait(); });
   const Json res = Json::parse(
@@ -446,8 +619,8 @@ TEST(ServerRetargetTest, ContentIdenticalReloadReusesWarmSession) {
   // re-registers a .lib it just re-read from disk. Sessions are keyed by
   // library *content* fingerprint, so an identical-content reload maps
   // back onto the warm session (extraction served from cache), while any
-  // content edit gets a fresh cold one. workers=1 pins every request to
-  // the one per-slot session map, making cache-delta assertions exact.
+  // content edit gets a fresh cold one. The requests never overlap, so
+  // each key keeps one session and the cache-delta assertions are exact.
   auto registry = cells::LibraryRegistry::with_builtins();
   server::ServerOptions options;
   options.tcp_port = 0;
